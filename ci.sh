@@ -165,4 +165,11 @@ echo "==> hiergat optimize --verify"
 ./target/release/hiergat optimize \
   --dataset fodors-zagats --scale 0.2 --tier dbert --verify
 
+# Benchmark self-test: `erbench/` is a cargo workspace of its own that
+# builds against the crates' public APIs (nn caches, sessions, resolve),
+# so this is the gate that notices when a change to one of them breaks
+# the benchmark's build or its output checks.
+echo "==> cargo test --release --locked --manifest-path erbench/Cargo.toml"
+cargo test --release --locked --manifest-path erbench/Cargo.toml
+
 echo "==> ci gate passed"

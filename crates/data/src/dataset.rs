@@ -156,6 +156,35 @@ impl CollectiveDataset {
     }
 }
 
+/// FNV-1a digest of every split's queries, candidates (in rank order) and
+/// labels: golden tests pin generated collective datasets bitwise with it.
+#[cfg(test)]
+pub(crate) fn collective_digest(ds: &CollectiveDataset) -> u64 {
+    let mut bytes = Vec::new();
+    let mut field = |b: &[u8]| {
+        bytes.extend_from_slice(b);
+        bytes.push(0xff);
+    };
+    for split in [&ds.train, &ds.valid, &ds.test] {
+        field(&(split.len() as u64).to_le_bytes());
+        for ex in split {
+            for (e, label) in std::iter::once((&ex.query, None))
+                .chain(ex.candidates.iter().zip(ex.labels.iter().map(|&l| Some(l))))
+            {
+                field(e.id.as_bytes());
+                for (k, v) in &e.attrs {
+                    field(k.as_bytes());
+                    field(v.as_bytes());
+                }
+                field(&[label.map_or(2, u8::from)]);
+            }
+        }
+    }
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

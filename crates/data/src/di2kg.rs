@@ -11,7 +11,7 @@ use crate::dataset::CollectiveDataset;
 use crate::entity::{CollectiveExample, Entity};
 use crate::lexicon;
 use crate::synth::{render_entity, AttrKind, NoiseConfig, Schema, World};
-use hiergat_text::{tokenize, CosineIndex, TfIdf};
+use hiergat_text::{tokenize, ShardedCosineIndex, TfIdf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -116,7 +116,7 @@ pub fn load_di2kg(category: Di2kgCategory, scale: f64) -> CollectiveDataset {
     let docs: Vec<Vec<String>> = records.iter().map(|(_, _, e)| tokenize(&e.full_text())).collect();
     let tfidf = TfIdf::fit(&docs);
     let vectors: Vec<_> = docs.iter().map(|d| tfidf.transform(d)).collect();
-    let index = CosineIndex::build(&vectors);
+    let index = ShardedCosineIndex::build(&vectors, 1);
 
     // Queries: random records, blocked against records from other sources.
     let mut order: Vec<usize> = (0..records.len()).collect();
@@ -200,5 +200,15 @@ mod tests {
     fn source_counts_match_paper() {
         assert_eq!(Di2kgCategory::Camera.n_sources(), 24);
         assert_eq!(Di2kgCategory::Monitor.n_sources(), 26);
+    }
+
+    /// Golden pin of the cross-source blocking (see the pairgen twin).
+    #[test]
+    fn generation_matches_golden_digest() {
+        let digests: Vec<u64> = Di2kgCategory::all()
+            .into_iter()
+            .map(|cat| crate::dataset::collective_digest(&load_di2kg(cat, 0.3)))
+            .collect();
+        assert_eq!(digests, [576_582_259_372_141_865, 5_000_229_135_179_331_558]);
     }
 }

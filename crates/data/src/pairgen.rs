@@ -3,7 +3,7 @@
 use crate::dataset::{CollectiveDataset, PairDataset};
 use crate::entity::{CollectiveExample, Entity, EntityPair};
 use crate::synth::{perturb_entity, render_entity, NoiseConfig, Schema, World};
-use hiergat_text::{tokenize, CosineIndex, TfIdf};
+use hiergat_text::{tokenize, ShardedCosineIndex, TfIdf};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -134,7 +134,7 @@ pub fn generate_collective(
     let docs: Vec<Vec<String>> = table_b.iter().map(|(_, e)| tokenize(&e.full_text())).collect();
     let tfidf = TfIdf::fit(&docs);
     let vectors: Vec<_> = docs.iter().map(|d| tfidf.transform(d)).collect();
-    let index = CosineIndex::build(&vectors);
+    let index = ShardedCosineIndex::build(&vectors, 1);
 
     // Queries.
     let mut order: Vec<usize> = (0..world.products.len()).collect();
@@ -294,5 +294,25 @@ mod tests {
         for e in &ds.test {
             assert!(!train_ids.contains(&e.query.id), "test query leaked into train");
         }
+    }
+
+    /// Golden pin of the TF-IDF top-N blocking that builds collective
+    /// candidate sets: a retrieval change that reorders or swaps any
+    /// candidate fails here.
+    #[test]
+    fn collective_generation_matches_golden_digest() {
+        let world = World::generate(&SOFTWARE, 80, 4, 7);
+        let ccfg = CollectiveGenConfig {
+            n_queries: 40,
+            top_n: 16,
+            noise_a: NoiseConfig::light(),
+            noise_b: NoiseConfig::light(),
+            distractor_frac: 0.2,
+            seed: 9,
+        };
+        let ds = generate_collective_dataset("c", &world, &SCHEMA, &ccfg);
+        assert_eq!(crate::dataset::collective_digest(&ds), 3_865_300_379_276_497_101);
+        let ds = crate::MagellanDataset::AmazonGoogle.load_collective(0.3);
+        assert_eq!(crate::dataset::collective_digest(&ds), 16_124_457_882_159_524_334);
     }
 }

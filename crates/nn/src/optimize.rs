@@ -45,6 +45,7 @@
 use crate::absint::{propagate, AbsintConfig, Interval, SeedMode};
 use crate::analyze::cost_analysis;
 use crate::params::ParamStore;
+use crate::plan::{Probe, ShapeCache};
 use crate::tape::{Op, Tape, Var};
 use hiergat_tensor::Tensor;
 use serde::Serialize;
@@ -293,10 +294,6 @@ struct PatchMaps {
 }
 
 struct CacheEntry {
-    /// Full plan signature; hits confirm against it word-for-word
-    /// (`sig_matches`), so two distinct structures can never share an
-    /// entry.
-    sig: Vec<u64>,
     /// Pass-selection flags the decisions were computed under.
     flags: u8,
     dec: Decisions,
@@ -306,10 +303,6 @@ struct CacheEntry {
     report: OptimizeReport,
     maps: PatchMaps,
 }
-
-/// Entry cap across all buckets; mirrors the arena executor's plan-cache
-/// cap (a session only ever meets a bounded family of graph shapes).
-const CACHE_CAP: usize = 256;
 
 /// Memoised optimiser output keyed by graph structure, for callers that
 /// optimise a stream of same-shaped deferred tapes
@@ -325,13 +318,14 @@ const CACHE_CAP: usize = 256;
 /// and patches fresh inputs/payloads/fold results into the cached tape —
 /// no planning, no emission, no allocation. The patched tape's structure
 /// never changes, so the arena executor's plan cache keeps hitting too.
+///
+/// Entries live in a [`ShapeCache`] (shared cap and clear-at-cap policy with
+/// the executors' plan caches). One signature may hold several entries:
+/// one per pass selection, plus a fresh one whenever a tape's
+/// value-dependent facts reject every cached set of decisions.
 #[derive(Default)]
 pub struct OptimizerCache {
-    /// Buckets by [`cheap_key`]; entries within a bucket are confirmed by
-    /// full signature walk.
-    entries: HashMap<u64, Vec<CacheEntry>>,
-    scratch: Vec<u64>,
-    count: usize,
+    entries: ShapeCache<CacheEntry>,
     /// Holding slot for delegated (verify / non-deferred) runs, so the
     /// borrowed return type is uniform across all paths.
     uncached: Option<Optimized>,
@@ -340,12 +334,12 @@ pub struct OptimizerCache {
 impl OptimizerCache {
     /// Number of distinct graph structures cached.
     pub fn len(&self) -> usize {
-        self.count
+        self.entries.len()
     }
 
     /// `true` when no optimised graphs have been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 }
 
@@ -362,12 +356,6 @@ pub struct CachedOptimized<'c> {
 
 fn pass_flags(cfg: &OptimizeConfig) -> u8 {
     u8::from(cfg.dce) | u8::from(cfg.cse) << 1 | u8::from(cfg.fold) << 2 | u8::from(cfg.fuse) << 3
-}
-
-/// Cheap bucket key: structure is confirmed by `sig_matches` afterwards,
-/// so this only needs to spread genuinely different geometries.
-fn cheap_key(tape: &Tape, root: Var) -> u64 {
-    ((root.index() as u64) << 32) ^ (tape.len() as u64) ^ (u64::from(tape.is_inference()) << 63)
 }
 
 /// [`optimize_owned`] behind a decisions-and-tape cache: a deferred tape
@@ -409,63 +397,43 @@ pub fn optimize_with_cache<'c>(
     }
     assert!(root.index() < tape.len(), "optimize: root is not a node of this tape");
     assert!(!tape.is_shape_only() && tape.is_deferred(), "checked by the delegation gate above");
-    let key = cheap_key(&tape, root);
     let flags = pass_flags(cfg);
-    let inference = tape.is_inference();
-    let pos = cache.entries.get(&key).and_then(|bucket| {
-        bucket.iter().position(|e| {
-            e.flags == flags
-                && crate::plan::sig_matches(&tape, root, inference, &e.sig)
-                && decisions_valid(&e.dec, &tape, ps)
-        })
+    let probe = cache.entries.probe(&tape, root, tape.is_inference(), |e| {
+        e.flags == flags && decisions_valid(&e.dec, &tape, ps)
     });
-    match pos {
-        Some(ix) => {
+    let e = match probe {
+        Probe::Hit { hash, ix } => {
             // Replay: re-prove the value-dependent facts held (done above),
             // then refresh only what a new example changes — `Input`
             // bits, op payloads, fold results. Structure, wiring, and the
             // executor's plan signature are untouched.
-            let folded = {
-                let e = &cache.entries[&key][ix];
-                scratch_fold_values(&tape, &e.dec.plan, ps)
-            };
-            let e = &mut cache.entries.get_mut(&key).expect("bucket located above")[ix];
+            let e = cache.entries.get_mut(hash, ix);
+            let folded = scratch_fold_values(&tape, &e.dec.plan, ps);
             patch_entry(e, &mut tape, folded);
-            CachedOptimized { tape: &e.tape, root: e.root, report: &e.report }
+            e
         }
-        None => {
+        Probe::Miss { hash, sig } => {
             let nodes_before = tape.len();
             let flops_before =
                 if cfg.certificates { cost_analysis(&tape, 1).total_flops } else { 0 };
-            cache.scratch.clear();
-            crate::plan::signature_into(&tape, root, inference, &mut cache.scratch);
             let mut src = Owned(tape);
             let mut out = run_passes(&mut src, root, ps, cfg, &HashSet::new());
             let plan = std::mem::take(&mut out.plan);
             let merge_with = std::mem::take(&mut out.merge_with);
             let maps = patch_maps(src.tape(), &plan, &merge_with, &out.map);
             let opt = finish(out, nodes_before, flops_before, cfg.certificates, false, false);
-            if cache.count >= CACHE_CAP {
-                // Runaway shape diversity: reset rather than grow without
-                // bound (mirrors the arena executor's plan-cache cap).
-                cache.entries.clear();
-                cache.count = 0;
-            }
-            cache.count += 1;
-            let bucket = cache.entries.entry(key).or_default();
-            bucket.push(CacheEntry {
-                sig: std::mem::take(&mut cache.scratch),
+            let entry = CacheEntry {
                 flags,
                 dec: Decisions { plan, merge_with },
                 tape: opt.tape,
                 root: opt.root,
                 report: opt.report,
                 maps,
-            });
-            let e = bucket.last().expect("entry just pushed");
-            CachedOptimized { tape: &e.tape, root: e.root, report: &e.report }
+            };
+            cache.entries.insert(hash, sig, entry)
         }
-    }
+    };
+    CachedOptimized { tape: &e.tape, root: e.root, report: &e.report }
 }
 
 /// Revalidates cached decisions against a fresh tape whose plan signature

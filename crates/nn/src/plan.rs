@@ -37,10 +37,9 @@ use hiergat_tensor::{
     row_moments_into, softmax_rows_inplace, Arena, Span, SpanReader, Tensor,
 };
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap};
+use std::convert::Infallible;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Which of an op's *inputs* have their *values* re-read by the backward
 /// rule in `Tape::backward`. Everything else can release its value at its
@@ -77,34 +76,31 @@ fn backward_reads_output(op: &Op) -> bool {
     )
 }
 
-/// Shape/topology fingerprint of `tape[0..=loss]`. Two tapes with equal
-/// signatures produce identical plans (payloads like scale factors, slice
-/// starts, dropout masks, and loss targets are read from the *current* tape
-/// at execution time and never baked into the plan). The mode tag keeps
-/// training and inference plans for the same graph distinct in the plan
-/// cache — their liveness (and therefore their spans) differ.
-fn signature(tape: &Tape, loss: Var, inference: bool) -> Vec<u64> {
-    let mut sig = Vec::new();
-    signature_into(tape, loss, inference, &mut sig);
-    sig
-}
+/// Entry cap of every shape-keyed cache in the crate (optimised tapes,
+/// arena plans, quantised plans). A session only ever meets a bounded
+/// family of graph shapes; runaway diversity (e.g. per-pair graph sizes)
+/// clears the cache at the cap rather than growing it without bound.
+pub(crate) const CACHE_CAP: usize = 256;
 
-/// [`signature`] written into a caller-owned buffer, so per-call code (the
-/// optimiser's decisions cache) can fingerprint a tape without allocating.
-pub(crate) fn signature_into(tape: &Tape, loss: Var, inference: bool, sig: &mut Vec<u64>) {
-    // The optimiser bit keeps an optimised graph's plan distinct from the
-    // as-recorded graph's even when their shapes coincide.
-    sig.extend([loss.index() as u64, u64::from(inference), u64::from(tape.is_optimized())]);
-    for i in 0..=loss.index() {
-        let v = Var::from_index(i);
+/// Writes the shape/topology signature of `tape[0..=root]` into `sig`.
+///
+/// The words are the root index, the mode tag, the optimiser bit, then per
+/// node its op tag, shape, arity and input indices. Two tapes with equal
+/// signatures produce identical plans: payloads like scale factors, slice
+/// starts, dropout masks and loss targets are read from the *current* tape
+/// at execution time and never baked into a cached entry. The mode tag
+/// keeps training and inference plans for one graph apart (their liveness
+/// differs), and the optimiser bit keeps an optimised graph's plan apart
+/// from the as-recorded graph's even when their shapes coincide.
+fn signature_into(tape: &Tape, root: Var, inference: bool, sig: &mut Vec<u64>) {
+    sig.clear();
+    sig.extend([root.index() as u64, u64::from(inference), u64::from(tape.is_optimized())]);
+    for i in 0..=root.index() {
         let op = tape.op_at(i);
-        let (rows, cols) = tape.value(v).shape();
+        let (rows, cols) = tape.value(Var::from_index(i)).shape();
         // `Op::tag` is deliberately explicit (not `mem::discriminant`
-        // hashing): the code feeds the plan-cache signature, and op
-        // identity changes liveness even when shapes match.
-        sig.push(op.tag());
-        sig.push(rows as u64);
-        sig.push(cols as u64);
+        // hashing): op identity changes liveness even when shapes match.
+        sig.extend([op.tag(), rows as u64, cols as u64]);
         let arity_at = sig.len();
         sig.push(0);
         op.for_each_input(|x| sig.push(x.index() as u64));
@@ -112,53 +108,104 @@ pub(crate) fn signature_into(tape: &Tape, loss: Var, inference: bool, sig: &mut 
     }
 }
 
-/// Allocation-free check that `tape[0..=loss]`'s fingerprint equals a
-/// previously captured [`signature_into`] buffer. The optimiser's replay
-/// cache confirms structural identity with this walk — mirroring
-/// `signature_into` word for word, aborting on the first mismatch —
-/// instead of materialising a fresh signature vector per call.
-pub(crate) fn sig_matches(tape: &Tape, loss: Var, inference: bool, sig: &[u64]) -> bool {
-    if sig.len() < 3
-        || sig[0] != loss.index() as u64
-        || sig[1] != u64::from(inference)
-        || sig[2] != u64::from(tape.is_optimized())
-    {
-        return false;
-    }
-    let mut pos = 3;
-    for i in 0..=loss.index() {
-        let op = tape.op_at(i);
-        let (rows, cols) = tape.value(Var::from_index(i)).shape();
-        if pos + 4 > sig.len()
-            || sig[pos] != op.tag()
-            || sig[pos + 1] != rows as u64
-            || sig[pos + 2] != cols as u64
-        {
-            return false;
-        }
-        let declared_arity = sig[pos + 3];
-        pos += 4;
-        let mut arity = 0u64;
-        let mut inputs_ok = true;
-        op.for_each_input(|x| {
-            if pos < sig.len() && sig[pos] == x.index() as u64 {
-                pos += 1;
-            } else {
-                inputs_ok = false;
-            }
-            arity += 1;
-        });
-        if !inputs_ok || arity != declared_arity {
-            return false;
-        }
-    }
-    pos == sig.len()
+/// Where a [`ShapeCache::probe`] landed.
+pub(crate) enum Probe {
+    /// An accepted entry; pass to [`ShapeCache::get_mut`].
+    Hit { hash: u64, ix: usize },
+    /// No accepted entry; the captured signature, ready for
+    /// [`ShapeCache::insert`].
+    Miss { hash: u64, sig: Vec<u64> },
 }
 
-fn hash_signature(sig: &[u64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    sig.hash(&mut h);
-    h.finish()
+/// Compiled work keyed by a tape's shape signature: the one cache policy
+/// behind the optimiser's tape cache, the arena executor's plans and the
+/// quantised executor's plans.
+///
+/// A lookup writes the signature into a reused scratch buffer (no
+/// allocation once it has grown), hashes it, and confirms every candidate
+/// against its stored signature word for word, so distinct shapes can
+/// never share an entry, hash collisions included. Several entries may
+/// share one signature when an accept predicate tells them apart (the
+/// optimiser keeps one per pass selection and per set of value-dependent
+/// decisions). At [`CACHE_CAP`] entries an insert clears the cache first.
+/// The unkeyed hash need not resist crafted collisions, since shapes
+/// follow record lengths: a bucket holds at most `CACHE_CAP` entries and
+/// each confirmation is one slice compare.
+pub(crate) struct ShapeCache<V> {
+    buckets: HashMap<u64, Vec<(Vec<u64>, V)>>,
+    len: usize,
+    scratch: Vec<u64>,
+}
+
+impl<V> Default for ShapeCache<V> {
+    fn default() -> Self {
+        Self { buckets: HashMap::new(), len: 0, scratch: Vec::new() }
+    }
+}
+
+impl<V> ShapeCache<V> {
+    /// Number of entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Finds the first entry whose signature equals `tape[0..=root]`'s and
+    /// which `accept` approves. Allocates only on a miss (the signature an
+    /// insert will store).
+    pub(crate) fn probe(
+        &mut self,
+        tape: &Tape,
+        root: Var,
+        inference: bool,
+        mut accept: impl FnMut(&V) -> bool,
+    ) -> Probe {
+        signature_into(tape, root, inference, &mut self.scratch);
+        let hash = self
+            .scratch
+            .iter()
+            .fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95));
+        let sig = &self.scratch;
+        let hit = self
+            .buckets
+            .get(&hash)
+            .and_then(|bucket| bucket.iter().position(|(s, v)| s == sig && accept(v)));
+        match hit {
+            Some(ix) => Probe::Hit { hash, ix },
+            None => Probe::Miss { hash, sig: sig.clone() },
+        }
+    }
+
+    /// The entry a [`Probe::Hit`] located.
+    pub(crate) fn get_mut(&mut self, hash: u64, ix: usize) -> &mut V {
+        &mut self.buckets.get_mut(&hash).expect("probed bucket")[ix].1
+    }
+
+    /// Stores `value` under a [`Probe::Miss`]'s signature, clearing the
+    /// cache first when it holds [`CACHE_CAP`] entries.
+    pub(crate) fn insert(&mut self, hash: u64, sig: Vec<u64>, value: V) -> &mut V {
+        if self.len >= CACHE_CAP {
+            self.buckets.clear();
+            self.len = 0;
+        }
+        self.len += 1;
+        let bucket = self.buckets.entry(hash).or_default();
+        bucket.push((sig, value));
+        &mut bucket.last_mut().expect("entry just pushed").1
+    }
+
+    /// The entry for this shape, built by `build` on a miss.
+    pub(crate) fn get_or_try_insert<E>(
+        &mut self,
+        tape: &Tape,
+        root: Var,
+        inference: bool,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<&mut V, E> {
+        Ok(match self.probe(tape, root, inference, |_| true) {
+            Probe::Hit { hash, ix } => self.get_mut(hash, ix),
+            Probe::Miss { hash, sig } => self.insert(hash, sig, build()?),
+        })
+    }
 }
 
 /// One planned buffer: a node's value or gradient, its live interval on the
@@ -293,7 +340,6 @@ pub struct ExecutionPlan {
     max_rows: usize,
     max_cols: usize,
     report: PlanReport,
-    signature: Vec<u64>,
     slots: Vec<PlannedSlot>,
 }
 
@@ -498,7 +544,6 @@ impl ExecutionPlan {
             lower_bound_bytes,
             exceeds_lower_bound: arena_bytes > lower_bound_bytes,
         };
-        let sig = signature(tape, loss, inference);
         ExecutionPlan {
             loss,
             inference,
@@ -510,7 +555,6 @@ impl ExecutionPlan {
             max_rows,
             max_cols,
             report,
-            signature: sig,
             slots,
         }
     }
@@ -574,7 +618,7 @@ pub struct ArenaExecutor {
     arena: Arena,
     scratch: Scratch,
     grad_written: Vec<bool>,
-    plans: HashMap<u64, ExecutionPlan>,
+    plans: ShapeCache<ExecutionPlan>,
 }
 
 impl ArenaExecutor {
@@ -592,26 +636,15 @@ impl ArenaExecutor {
     /// Associated function over the `plans` field so callers can borrow the
     /// arena and scratch fields independently.
     fn cached_plan<'p>(
-        plans: &'p mut HashMap<u64, ExecutionPlan>,
+        plans: &'p mut ShapeCache<ExecutionPlan>,
         tape: &Tape,
         loss: Var,
         inference: bool,
     ) -> &'p ExecutionPlan {
-        let sig = signature(tape, loss, inference);
-        let key = hash_signature(&sig);
-        if plans.len() > 512 && !plans.contains_key(&key) {
-            // Runaway shape diversity (e.g. per-pair graph sizes): cap the
-            // cache rather than grow without bound.
-            plans.clear();
-        }
-        let build = || ExecutionPlan::build_with_mode(tape, loss, inference);
-        let entry = plans.entry(key).or_insert_with(build);
-        if entry.signature != sig {
-            // Hash collision between distinct shapes: rebuild for the
-            // current tape (correctness first; collisions are ~never).
-            *entry = build();
-        }
-        entry
+        let Ok(plan) = plans.get_or_try_insert(tape, loss, inference, || {
+            Ok::<_, Infallible>(ExecutionPlan::build_with_mode(tape, loss, inference))
+        });
+        plan
     }
 
     /// Plans (or reuses a cached plan for) `tape` and returns its report.
@@ -1665,7 +1698,9 @@ fn run_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimize::{optimize_with_cache, OptimizeConfig, OptimizerCache};
     use crate::params::ParamId;
+    use crate::quant::{QuantConfig, QuantExecutor, QuantStore};
     use hiergat_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1883,6 +1918,60 @@ mod tests {
         let s = t3.sum_all(x);
         exec.plan_report(&t3, s);
         assert_eq!(exec.plans_cached(), 2);
+
+        // Every shape-keyed cache (optimised tapes, arena plans, quantised
+        // plans) over more distinct geometries than CACHE_CAP. Each `rows`
+        // records the same node count and root with different shapes;
+        // each replays bitwise equal to eager, a geometry seen again hits,
+        // and no cache ever holds more than CACHE_CAP entries.
+        let mut cache = OptimizerCache::default();
+        let mut exec = ArenaExecutor::new();
+        let mut qexec = QuantExecutor::new();
+        let qstore = {
+            let mut t = Tape::new();
+            let y = record_rows_graph(&mut t, &ps, 1);
+            QuantStore::build(&t, y, &ps, &QuantConfig::default()).expect("quantise").0
+        };
+        let extra = 40;
+        for rows in 1..=CACHE_CAP + extra {
+            let mut eager = Tape::new();
+            let want = record_rows_graph(&mut eager, &ps, rows);
+            for pass in 0..2 {
+                let before = (cache.len(), exec.plans_cached(), qexec.plans_cached());
+                let mut t = Tape::inference();
+                let y = record_rows_graph(&mut t, &ps, rows);
+                let opt = optimize_with_cache(&mut cache, t, y, &ps, &OptimizeConfig::hot());
+                let got = exec.infer(opt.tape, opt.root, &ps);
+                assert_bits_eq(
+                    eager.value(want).as_slice(),
+                    got.as_slice(),
+                    &format!("{rows} rows"),
+                );
+                let mut q = vec![0.0; rows * 3];
+                qexec.infer_into(&eager, want, &ps, &qstore, &mut q).expect("quantised replay");
+                let after = (cache.len(), exec.plans_cached(), qexec.plans_cached());
+                if pass == 1 {
+                    assert_eq!(after, before, "{rows} rows seen again must hit every cache");
+                }
+                assert!(after.0.max(after.1).max(after.2) <= CACHE_CAP, "{after:?} at {rows} rows");
+            }
+        }
+        // Clear-at-cap: geometry CACHE_CAP + 1 emptied each cache.
+        assert_eq!((cache.len(), exec.plans_cached(), qexec.plans_cached()), (extra, extra, extra));
+    }
+
+    /// A fixed eight-node graph whose shapes all follow `rows`: the node
+    /// count and root never change, only the geometry.
+    fn record_rows_graph(t: &mut Tape, ps: &ParamStore, rows: usize) -> Var {
+        let data = (0..rows * 4).map(|i| (i % 7) as f32 * 0.25 - 0.75).collect();
+        let x = t.input(Tensor::from_vec(rows, 4, data).expect("rows x 4"));
+        let w1 = t.param(ps, pid(ps, "w1"));
+        let h = t.matmul(x, w1);
+        let b1 = t.param(ps, pid(ps, "b1"));
+        let h = t.add_row(h, b1);
+        let h = t.tanh(h);
+        let w = t.slice_cols(h, 0, 3);
+        t.softmax(w)
     }
 
     #[test]

@@ -44,17 +44,16 @@
 //! session therefore always replays the as-recorded tape, and
 //! `Session::set_optimize` is a no-op on the quantised path.
 //!
-//! Quantised plans are cached in the executor's own table, keyed by a
-//! signature with a leading quantisation marker word — a quantised plan
-//! can never alias an f32 plan (different cache *and* different key
-//! space). Decode scratch follows the thread-local-scratch convention
-//! the f32 microkernel established: it is reused across calls and is not
-//! part of any arena budget.
+//! Quantised plans are cached in the executor's own shape-keyed cache
+//! (the crate's one signature format and cap), so a quantised plan can
+//! never alias an f32 plan. Decode scratch follows the
+//! thread-local-scratch convention the f32 microkernel established: it
+//! is reused across calls and is not part of any arena budget.
 
 use crate::absint::{audit_graph, AbsintConfig, AuditReport, QuantEntry};
 use crate::lint::Severity;
 use crate::params::{ParamId, ParamStore};
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, ShapeCache};
 use crate::tape::{Op, Tape, Var};
 use hiergat_tensor::quant::{
     f16_decode_slice, f16_decode_slice_le, f16_encode_slice, f16_encode_slice_le,
@@ -66,7 +65,7 @@ use hiergat_tensor::{
     softmax_rows_inplace,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Storage class the audit proved feasible for one tensor.
@@ -474,29 +473,6 @@ impl QuantStore {
     }
 }
 
-/// Marker word prefixed to quantised plan signatures so a quantised plan
-/// can never alias an f32 plan even if the caches were merged.
-const QUANT_SIG_MARKER: u64 = 0x5155_414e_545f_3031; // "QUANT_01"
-
-fn quant_signature(tape: &Tape, root: Var) -> Vec<u64> {
-    let mut sig = vec![QUANT_SIG_MARKER, root.index() as u64, u64::from(tape.is_optimized())];
-    for i in 0..=root.index() {
-        let op = tape.op_at(i);
-        let (r, c) = tape.value(Var::from_index(i)).shape();
-        let ins = op.inputs();
-        sig.extend([op.tag(), r as u64, c as u64, ins.len() as u64]);
-        sig.extend(ins.iter().map(|v| v.index() as u64));
-    }
-    sig
-}
-
-fn hash_signature(sig: &[u64]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    sig.hash(&mut h);
-    h.finish()
-}
-
 /// One node's storage assignment inside a [`QuantPlan`].
 #[derive(Debug, Clone, Copy)]
 struct NodeSlot {
@@ -595,7 +571,6 @@ impl ByteAlloc {
 /// packed from the f32 inference plan's liveness.
 #[derive(Debug)]
 pub struct QuantPlan {
-    signature: Vec<u64>,
     nodes: Vec<NodeSlot>,
     /// High-water byte count of the shared arena.
     arena_extent: usize,
@@ -697,7 +672,6 @@ impl QuantPlan {
             alloc.extent = mirror_extent;
         }
         Ok(QuantPlan {
-            signature: quant_signature(tape, root),
             nodes,
             arena_extent: alloc.extent,
             max_node_elems,
@@ -746,7 +720,7 @@ struct QuantScratch {
 /// shape, then replay).
 #[derive(Default)]
 pub struct QuantExecutor {
-    plans: HashMap<u64, QuantPlan>,
+    plans: ShapeCache<QuantPlan>,
     arena: Vec<u8>,
     scratch: QuantScratch,
 }
@@ -777,33 +751,23 @@ impl QuantExecutor {
         store: &ParamStore,
         qstore: &QuantStore,
     ) -> Result<&QuantPlan, QuantError> {
-        let key = self.ensure_plan(tape, root, store, qstore)?;
-        Ok(&self.plans[&key])
+        Self::cached_plan(&mut self.plans, tape, root, store, qstore)
     }
 
-    /// Looks up (building on miss) the plan for `tape`'s shape and returns
-    /// its cache key — the signature is computed exactly once per call.
-    fn ensure_plan(
-        &mut self,
+    /// Associated function over the `plans` field so callers can borrow
+    /// the arena and scratch fields independently.
+    fn cached_plan<'p>(
+        plans: &'p mut ShapeCache<QuantPlan>,
         tape: &Tape,
         root: Var,
         store: &ParamStore,
         qstore: &QuantStore,
-    ) -> Result<u64, QuantError> {
-        let sig = quant_signature(tape, root);
-        let key = hash_signature(&sig);
-        if self.plans.len() > 512 && !self.plans.contains_key(&key) {
-            self.plans.clear();
-        }
-        if !self.plans.contains_key(&key) {
-            let plan = QuantPlan::build(tape, root, store, qstore.config())?;
-            self.plans.insert(key, plan);
-        } else if self.plans[&key].signature != sig {
-            // Hash collision between distinct shapes: rebuild.
-            let plan = QuantPlan::build(tape, root, store, qstore.config())?;
-            self.plans.insert(key, plan);
-        }
-        Ok(key)
+    ) -> Result<&'p QuantPlan, QuantError> {
+        // Quantised plans are forward-only: the mode word is always set.
+        let plan = plans.get_or_try_insert(tape, root, true, || {
+            QuantPlan::build(tape, root, store, qstore.config())
+        })?;
+        Ok(plan)
     }
 
     /// Replays `tape` up to `root` through the quantised plan and writes
@@ -819,8 +783,7 @@ impl QuantExecutor {
         qstore: &QuantStore,
         out: &mut [f32],
     ) -> Result<(), QuantError> {
-        let key = self.ensure_plan(tape, root, store, qstore)?;
-        let plan = &self.plans[&key];
+        let plan = Self::cached_plan(&mut self.plans, tape, root, store, qstore)?;
         grow_u8(&mut self.arena, plan.arena_extent);
         grow_f32(&mut self.scratch.in0, plan.max_node_elems);
         grow_f32(&mut self.scratch.in1, plan.max_node_elems);

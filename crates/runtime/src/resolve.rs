@@ -296,4 +296,24 @@ mod tests {
         let wide = parallel::with_threads(8, || resolve(&src, &table, None, &cfg).labels);
         assert_eq!(serial, wide);
     }
+
+    /// A small table under the default `max_df` (1% of 5 rows) must still
+    /// merge its exact duplicates: a term shared by just two records is
+    /// never a stop term, whatever the table size.
+    #[test]
+    fn small_table_merges_duplicates_under_default_max_df() {
+        let table = vec![
+            entity("0", "canon eos r5 mirrorless camera"),
+            entity("1", "canon eos r5 mirrorless camera"),
+            entity("2", "dell ultrasharp 27 inch monitor"),
+            entity("3", "dell ultrasharp 27 inch monitor"),
+            entity("4", "fender stratocaster electric guitar"),
+        ];
+        let src_cfg = TfIdfSourceConfig::default();
+        assert_eq!(src_cfg.max_df, Some(0.01), "the default under test");
+        let src = TfIdfCandidates::fit_dedup(&table, &src_cfg);
+        let r = resolve(&src, &table, None, &ResolveConfig::default());
+        assert_eq!(r.labels, vec![0, 0, 2, 2, 4]);
+        assert_eq!(r.stats.clusters, 3);
+    }
 }

@@ -14,10 +14,15 @@
 //! as-recorded replay.
 //!
 //! [`Session::score_batch`] fans examples out over the `parallel` pool
-//! (`HIERGAT_THREADS` governs the width). Each worker slot keeps its own
-//! [`ArenaExecutor`] whose plan cache persists across calls; every example
-//! is scored independently, so results never depend on the chunk geometry
-//! and a 1-thread and an 8-thread run are bitwise identical.
+//! (`HIERGAT_THREADS` governs the width) through one helper shared by the
+//! f32 and quantised paths: a serial slot for small batches plus one slot
+//! per worker. Each slot keeps its own executor (and, on the f32 path, its
+//! optimiser cache) across calls. Every such cache is keyed by the graph's
+//! shape signature and holds at most `CACHE_CAP` = 256 entries, clearing
+//! at the cap, so a session replays compiled work whenever a pair's record
+//! geometry repeats. Every example is scored independently, so results
+//! never depend on the chunk geometry and a 1-thread and an 8-thread run
+//! are bitwise identical.
 
 use crate::model::{ErModel, Example};
 use hiergat_nn::{
@@ -30,11 +35,18 @@ use std::sync::Mutex;
 pub struct Session {
     model: Box<dyn ErModel>,
     threshold: f32,
-    exec: ArenaExecutor,
-    cache: OptimizerCache,
-    workers: Vec<(ArenaExecutor, OptimizerCache)>,
+    serial: Slot,
+    workers: Vec<Slot>,
     optimize: bool,
     quant: Option<QuantState>,
+}
+
+/// One f32 scoring slot: an arena executor and the optimiser cache that
+/// feeds it, both persisting across calls.
+#[derive(Default)]
+struct Slot {
+    exec: ArenaExecutor,
+    cache: OptimizerCache,
 }
 
 /// Quantised-session state: the immutable audit-driven weight store plus
@@ -62,16 +74,10 @@ pub struct QuantReport {
 }
 
 /// Records `ex`'s scoring graph on an inference tape, optionally runs the
-/// certified tape optimiser over it, and replays the result through `exec`,
+/// certified tape optimiser over it, and replays the result through `slot`,
 /// returning the match probability per output. Every default-config rewrite
 /// is bitwise-exact, so the optimised replay still matches eager `predict`.
-fn score_one(
-    model: &dyn ErModel,
-    exec: &mut ArenaExecutor,
-    cache: &mut OptimizerCache,
-    ex: Example<'_>,
-    optimized: bool,
-) -> Vec<f32> {
+fn score_one(model: &dyn ErModel, slot: &mut Slot, ex: Example<'_>, optimized: bool) -> Vec<f32> {
     let n = ex.n_outputs();
     let mut t = Tape::inference();
     let probs = model.record_scores(&mut t, ex);
@@ -84,10 +90,11 @@ fn score_one(
         // tape, patches the fresh inputs/payloads into the cached optimised
         // tape, and hands that back (no certificate records; shape checks
         // still run). The recorded tape is discarded here either way.
-        let opt = optimize_with_cache(cache, t, probs, model.params(), &OptimizeConfig::hot());
-        exec.infer_into(opt.tape, opt.root, model.params(), &mut buf);
+        let hot = OptimizeConfig::hot();
+        let opt = optimize_with_cache(&mut slot.cache, t, probs, model.params(), &hot);
+        slot.exec.infer_into(opt.tape, opt.root, model.params(), &mut buf);
     } else {
-        exec.infer_into(&t, probs, model.params(), &mut buf);
+        slot.exec.infer_into(&t, probs, model.params(), &mut buf);
     }
     (0..n).map(|i| buf[i * 2 + 1]).collect()
 }
@@ -112,6 +119,45 @@ fn score_one_quant(
     (0..n).map(|i| buf[i * 2 + 1]).collect()
 }
 
+/// Scores `examples` in input order: serially on `serial` when the pool is
+/// 1-wide or the batch is small (keeping that slot's caches warm),
+/// otherwise in one contiguous chunk per worker slot, growing `workers` to
+/// the pool width.
+fn fan_out<'e, W: Default + Send>(
+    serial: &mut W,
+    workers: &mut Vec<W>,
+    examples: &[Example<'e>],
+    score: impl Fn(&mut W, Example<'e>) -> Vec<f32> + Sync,
+) -> Vec<Vec<f32>> {
+    let width = parallel::current_split().max(1);
+    if width == 1 || examples.len() < 2 * width {
+        return examples.iter().map(|ex| score(serial, *ex)).collect();
+    }
+    if workers.len() < width {
+        workers.resize_with(width, W::default);
+    }
+    let mut out: Vec<Vec<f32>> = vec![Vec::new(); examples.len()];
+    let chunk = examples.len().div_ceil(width);
+    // One job per worker slot: its persistent state plus the slice of
+    // outputs/examples it owns. The Mutex hands each spawned task
+    // exclusive access to its own job.
+    type Job<'j, 'e, W> = Mutex<(&'j mut W, &'j mut [Vec<f32>], &'j [Example<'e>])>;
+    let jobs: Vec<Job<'_, 'e, W>> = workers
+        .iter_mut()
+        .zip(out.chunks_mut(chunk))
+        .zip(examples.chunks(chunk))
+        .map(|((worker, slots), exs)| Mutex::new((worker, slots, exs)))
+        .collect();
+    parallel::run(jobs.len(), |i| {
+        let mut job = jobs[i].lock().expect("session job lock");
+        let (worker, slots, exs) = &mut *job;
+        for (slot, ex) in slots.iter_mut().zip(exs.iter()) {
+            *slot = score(worker, *ex);
+        }
+    });
+    out
+}
+
 impl Session {
     /// Wraps a model, adopting its persisted decision threshold. The
     /// certified tape optimiser is on by default; see [`Self::set_optimize`].
@@ -120,8 +166,7 @@ impl Session {
         Self {
             model,
             threshold,
-            exec: ArenaExecutor::new(),
-            cache: OptimizerCache::default(),
+            serial: Slot::default(),
             workers: Vec::new(),
             optimize: true,
             quant: None,
@@ -201,7 +246,7 @@ impl Session {
     /// Capacity of the serial scoring arena, in bytes (grows to the largest
     /// inference plan seen; 0 before the first call).
     pub fn arena_capacity_bytes(&self) -> u64 {
-        self.exec.arena_capacity_bytes()
+        self.serial.exec.arena_capacity_bytes()
     }
 
     /// Scores one example: match probability per output. Bitwise identical
@@ -212,7 +257,7 @@ impl Session {
         if let Some(q) = self.quant.as_mut() {
             return score_one_quant(&*self.model, &mut q.exec, &q.store, ex);
         }
-        score_one(&*self.model, &mut self.exec, &mut self.cache, ex, self.optimize)
+        score_one(&*self.model, &mut self.serial, ex, self.optimize)
     }
 
     /// Interval abstract-interpretation audit of the scoring graph this
@@ -235,79 +280,17 @@ impl Session {
     /// order matches input order; values are independent of the pool
     /// width (each example's graph is scored in isolation).
     pub fn score_batch(&mut self, examples: &[Example<'_>]) -> Vec<Vec<f32>> {
-        let workers = parallel::current_split().max(1);
-        if let Some(q) = self.quant.as_mut() {
-            let model = &*self.model;
-            let qstore = &q.store;
-            if workers == 1 || examples.len() < 2 * workers {
-                let exec = &mut q.exec;
-                return examples
-                    .iter()
-                    .map(|ex| score_one_quant(model, exec, qstore, *ex))
-                    .collect();
-            }
-            while q.workers.len() < workers {
-                q.workers.push(QuantExecutor::new());
-            }
-            let mut out: Vec<Vec<f32>> = vec![Vec::new(); examples.len()];
-            let chunk = examples.len().div_ceil(workers);
-            type QJob<'j, 'e> =
-                Mutex<(&'j mut QuantExecutor, &'j mut [Vec<f32>], &'j [Example<'e>])>;
-            let jobs: Vec<QJob<'_, '_>> = q
-                .workers
-                .iter_mut()
-                .zip(out.chunks_mut(chunk))
-                .zip(examples.chunks(chunk))
-                .map(|((worker, slots), exs)| Mutex::new((worker, slots, exs)))
-                .collect();
-            parallel::run(jobs.len(), |i| {
-                let mut job = jobs[i].lock().expect("quantised session job lock");
-                let (exec, slots, exs) = &mut *job;
-                for (slot, ex) in slots.iter_mut().zip(exs.iter()) {
-                    *slot = score_one_quant(model, exec, qstore, *ex);
-                }
-            });
-            return out;
-        }
-        // Small batches (or a 1-wide pool) run serially on the session's
-        // own executor, keeping its plan cache warm.
-        if workers == 1 || examples.len() < 2 * workers {
-            let model = &*self.model;
-            let optimized = self.optimize;
-            let (exec, cache) = (&mut self.exec, &mut self.cache);
-            return examples
-                .iter()
-                .map(|ex| score_one(model, exec, cache, *ex, optimized))
-                .collect();
-        }
-        while self.workers.len() < workers {
-            self.workers.push((ArenaExecutor::new(), OptimizerCache::default()));
-        }
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); examples.len()];
-        let chunk = examples.len().div_ceil(workers);
         let model = &*self.model;
+        if let Some(q) = self.quant.as_mut() {
+            let qstore = &q.store;
+            return fan_out(&mut q.exec, &mut q.workers, examples, |exec, ex| {
+                score_one_quant(model, exec, qstore, ex)
+            });
+        }
         let optimized = self.optimize;
-        // One job per worker slot: its persistent executor and optimiser
-        // decisions cache plus the slice of outputs/examples it owns. The
-        // Mutex hands each spawned task exclusive access to its own job.
-        type Worker = (ArenaExecutor, OptimizerCache);
-        type Job<'j, 'e> = Mutex<(&'j mut Worker, &'j mut [Vec<f32>], &'j [Example<'e>])>;
-        let jobs: Vec<Job<'_, '_>> = self
-            .workers
-            .iter_mut()
-            .zip(out.chunks_mut(chunk))
-            .zip(examples.chunks(chunk))
-            .map(|((worker, slots), exs)| Mutex::new((worker, slots, exs)))
-            .collect();
-        parallel::run(jobs.len(), |i| {
-            let mut job = jobs[i].lock().expect("session job lock");
-            let (worker, slots, exs) = &mut *job;
-            let (exec, cache) = &mut **worker;
-            for (slot, ex) in slots.iter_mut().zip(exs.iter()) {
-                *slot = score_one(model, exec, cache, *ex, optimized);
-            }
-        });
-        out
+        fan_out(&mut self.serial, &mut self.workers, examples, |slot, ex| {
+            score_one(model, slot, ex, optimized)
+        })
     }
 
     /// Convenience over [`Self::score_batch`] for pairwise models: one

@@ -18,6 +18,6 @@ pub use similarity::{
     cosine_tokens, exact, jaccard, jaro, jaro_winkler, levenshtein, levenshtein_sim, monge_elkan,
     numeric_sim, overlap_coefficient,
 };
-pub use tfidf::{CosineIndex, SparseVec, TfIdf, TfIdfBuilder};
+pub use tfidf::{SparseVec, TfIdf, TfIdfBuilder};
 pub use tokenize::{tokenize, Tokenizer};
 pub use vocab::{fnv1a, HashVocab, Special, NUM_SPECIAL};

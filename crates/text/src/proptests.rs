@@ -1,8 +1,8 @@
 //! Property-based tests for tokenization, similarity, and TF-IDF.
 
 use crate::{
-    jaccard, jaro, jaro_winkler, levenshtein, levenshtein_sim, tokenize, CosineIndex, HashVocab,
-    TfIdf,
+    jaccard, jaro, jaro_winkler, levenshtein, levenshtein_sim, tokenize, HashVocab,
+    ShardedCosineIndex, TfIdf,
 };
 use proptest::prelude::*;
 
@@ -96,7 +96,7 @@ proptest! {
         }
         let tfidf = TfIdf::fit(&docs);
         let vectors: Vec<_> = docs.iter().map(|d| tfidf.transform(d)).collect();
-        let index = CosineIndex::build(&vectors);
+        let index = ShardedCosineIndex::build(&vectors, 1);
         for (i, d) in docs.iter().enumerate() {
             let hits = index.top_n(&tfidf.transform(d), 1);
             prop_assert_eq!(hits[0].0, i, "doc {} must retrieve itself first", i);

@@ -1,11 +1,11 @@
 //! Sharded inverted index for corpus-scale top-N cosine retrieval.
 //!
-//! [`CosineIndex`](crate::CosineIndex) accumulates query scores into a
-//! `HashMap` and is fine for the toy Magellan tables, but at 10^6+
-//! documents the resolve pipeline needs (a) postings split into shards so
-//! queries fan out over the `parallel` pool, (b) dense per-shard score
-//! accumulators instead of hashing, and (c) document-frequency pruning so
-//! ubiquitous lexicon terms don't drag every query over the whole corpus.
+//! At 10^6+ documents the resolve pipeline needs (a) postings split into
+//! shards so queries fan out over the `parallel` pool, (b) dense per-shard
+//! score accumulators instead of hashing, and (c) document-frequency
+//! pruning so ubiquitous lexicon terms don't drag every query over the
+//! whole corpus. With one shard and no stop terms it is the plain flat
+//! inverted index, which is how the toy-table generators use it.
 //!
 //! # Determinism
 //!
@@ -26,9 +26,11 @@ use std::cell::RefCell;
 
 /// Marks terms whose document frequency exceeds `max_df_ratio * n_docs`
 /// as stop terms (to be dropped from the index). DF is a global corpus
-/// property, so pruning is independent of shard layout.
+/// property, so pruning is independent of shard layout. The cutoff never
+/// drops below 2: a term shared by just one pair of records is the
+/// strongest duplicate evidence a small table has, not a stop word.
 pub fn stop_terms_by_df(doc_freqs: &[u32], n_docs: usize, max_df_ratio: f64) -> Vec<bool> {
-    let cutoff = (n_docs as f64 * max_df_ratio).max(1.0);
+    let cutoff = (n_docs as f64 * max_df_ratio).max(2.0);
     doc_freqs.iter().map(|&df| f64::from(df) > cutoff).collect()
 }
 
@@ -258,7 +260,7 @@ impl ShardedCosineIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tfidf::{CosineIndex, TfIdf};
+    use crate::tfidf::TfIdf;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -276,12 +278,13 @@ mod tests {
         ]
     }
 
+    /// One shard is the flat layout: every shard count must reproduce it.
     #[test]
     fn matches_flat_index_for_every_shard_count() {
         let docs = corpus();
         let tfidf = TfIdf::fit(&docs);
         let vecs: Vec<SparseVec> = docs.iter().map(|d| tfidf.transform(d)).collect();
-        let flat = CosineIndex::build(&vecs);
+        let flat = ShardedCosineIndex::build(&vecs, 1);
         let query = tfidf.transform(&toks("canon eos r5 camera"));
         let want = flat.top_n(&query, 4);
         for shards in 1..=8 {

@@ -255,54 +255,10 @@ impl TopSelect {
     }
 }
 
-/// Inverted index over normalized TF-IDF vectors for fast top-N cosine
-/// queries (vectors are unit-length, so cosine = dot product).
-pub struct CosineIndex {
-    postings: HashMap<usize, Vec<(usize, f32)>>,
-    n_docs: usize,
-}
-
-impl CosineIndex {
-    /// Builds an index over pre-transformed document vectors.
-    pub fn build(vectors: &[SparseVec]) -> Self {
-        let mut postings: HashMap<usize, Vec<(usize, f32)>> = HashMap::new();
-        for (doc, v) in vectors.iter().enumerate() {
-            for &(term, w) in v.entries() {
-                postings.entry(term).or_default().push((doc, w));
-            }
-        }
-        Self { postings, n_docs: vectors.len() }
-    }
-
-    /// Returns up to `n` document ids with the highest cosine similarity to
-    /// `query`, best first. Ties break toward the lower doc id so results
-    /// are deterministic. Selection uses a bounded min-heap over the M
-    /// scored docs — O(M log n) instead of sorting all M.
-    pub fn top_n(&self, query: &SparseVec, n: usize) -> Vec<(usize, f32)> {
-        let mut scores: HashMap<usize, f32> = HashMap::new();
-        for &(term, qw) in query.entries() {
-            if let Some(posting) = self.postings.get(&term) {
-                for &(doc, dw) in posting {
-                    *scores.entry(doc).or_default() += qw * dw;
-                }
-            }
-        }
-        let mut select = TopSelect::new(n);
-        for (doc, score) in scores {
-            select.offer(doc, score);
-        }
-        select.into_ranked()
-    }
-
-    /// Number of indexed documents.
-    pub fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedCosineIndex;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -361,7 +317,7 @@ mod tests {
         ];
         let tfidf = TfIdf::fit(&docs);
         let vecs: Vec<SparseVec> = docs.iter().map(|d| tfidf.transform(d)).collect();
-        let index = CosineIndex::build(&vecs);
+        let index = ShardedCosineIndex::build(&vecs, 1);
         let hits = index.top_n(&tfidf.transform(&toks("canon eos camera")), 2);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, 0);
@@ -377,7 +333,7 @@ mod tests {
             (0..17).map(|i| toks(if i % 2 == 0 { "x y" } else { "x y z" })).collect();
         let tfidf = TfIdf::fit(&docs);
         let vecs: Vec<SparseVec> = docs.iter().map(|d| tfidf.transform(d)).collect();
-        let index = CosineIndex::build(&vecs);
+        let index = ShardedCosineIndex::build(&vecs, 1);
         let query = tfidf.transform(&toks("x y"));
         // Reference: score everything, full sort with the documented order.
         let mut reference: Vec<(usize, f32)> =
@@ -420,7 +376,7 @@ mod tests {
         let docs = vec![toks("x y"), toks("x y")];
         let tfidf = TfIdf::fit(&docs);
         let vecs: Vec<SparseVec> = docs.iter().map(|d| tfidf.transform(d)).collect();
-        let index = CosineIndex::build(&vecs);
+        let index = ShardedCosineIndex::build(&vecs, 1);
         let hits = index.top_n(&tfidf.transform(&toks("x y")), 2);
         assert_eq!(hits[0].0, 0);
         assert_eq!(hits[1].0, 1);
