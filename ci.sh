@@ -113,6 +113,16 @@ HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd --test quantise
 echo "==> cargo test -q -p hiergat-bench --test resolve_pipeline"
 cargo test -q -p hiergat-bench --test resolve_pipeline
 
+# TF-IDF fit gate: the text and blocking suites (tokeniser and transform
+# oracles, partial-vocabulary merge, the fitted source's golden digest)
+# under a real 1-wide and a real 8-wide pool, so the chunk-parallel
+# vocabulary merge runs across real worker threads.
+echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-text -p hiergat-blocking"
+HIERGAT_THREADS=1 cargo test -q -p hiergat-text -p hiergat-blocking
+
+echo "==> HIERGAT_THREADS=8 cargo test -q -p hiergat-text -p hiergat-blocking"
+HIERGAT_THREADS=8 cargo test -q -p hiergat-text -p hiergat-blocking
+
 echo "==> hiergat resolve width determinism (HIERGAT_THREADS=1 vs 8)"
 HIERGAT_THREADS=1 ./target/release/hiergat resolve \
   --entities 3000 --seed 11 --accept 0.55 --out /tmp/hiergat_resolve_w1.csv

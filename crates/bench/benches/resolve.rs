@@ -20,7 +20,7 @@
 
 use hiergat::{train_pairwise, HierGat, HierGatConfig};
 use hiergat_bench::{banner, bench_epochs, bench_scale, pretrain_for};
-use hiergat_blocking::{TfIdfCandidates, TfIdfSourceConfig};
+use hiergat_blocking::{FitStats, TfIdfCandidates, TfIdfSourceConfig};
 use hiergat_data::{CorpusConfig, EntityPair, PairDataset, SynthCorpus};
 use hiergat_lm::LmTier;
 use hiergat_metrics::{pairwise_cluster_metrics, PrF1};
@@ -66,6 +66,7 @@ fn source_config() -> TfIdfSourceConfig {
 
 struct Run {
     fit_secs: f64,
+    fit_stats: FitStats,
     index_bytes: u64,
     resolution: Resolution,
     pr: PrF1,
@@ -75,10 +76,11 @@ fn run_resolve(corpus: &SynthCorpus, session: Option<&mut Session>, cfg: &Resolv
     let fit_start = Instant::now();
     let src = TfIdfCandidates::fit_dedup(corpus, &source_config());
     let fit_secs = fit_start.elapsed().as_secs_f64();
+    let fit_stats = src.fit_stats();
     let index_bytes = src.memory_bytes();
     let resolution = resolve(&src, corpus, session, cfg);
     let pr = pairwise_cluster_metrics(&resolution.labels, &corpus.gold_labels()).pr_f1();
-    Run { fit_secs, index_bytes, resolution, pr }
+    Run { fit_secs, fit_stats, index_bytes, resolution, pr }
 }
 
 /// Labeled pairs mined from the cosine band of a corpus — exactly the
@@ -157,8 +159,14 @@ fn main() {
     let entities_per_s = n as f64 / (scale.fit_secs + s.total_secs);
     let candidates_per_s = s.candidates as f64 / s.total_secs;
     println!(
-        "  fit {:.1}s  resolve {:.1}s  {:.0} entities/s  {:.0} candidates/s",
-        scale.fit_secs, s.total_secs, entities_per_s, candidates_per_s
+        "  fit {:.1}s (vocabulary {:.2}s, transform + index {:.2}s)  resolve {:.1}s  \
+         {:.0} entities/s  {:.0} candidates/s",
+        scale.fit_secs,
+        scale.fit_stats.vocab_secs,
+        scale.fit_stats.transform_secs,
+        s.total_secs,
+        entities_per_s,
+        candidates_per_s
     );
     println!(
         "  clusters {}  P {:.3}  R {:.3}  F1 {:.3}  peak-RSS proxy {:.1} MB",
@@ -217,7 +225,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"entities\": {n},\n  \"fit_secs\": {:.3},\n  \"resolve_secs\": {:.3},\n  \
+        "{{\n  \"entities\": {n},\n  \"fit_secs\": {:.3},\n  \
+         \"fit_vocab_secs\": {:.3},\n  \"fit_transform_secs\": {:.3},\n  \"resolve_secs\": {:.3},\n  \
          \"entities_per_s\": {:.1},\n  \"candidates_per_s\": {:.1},\n  \
          \"candidates\": {},\n  \"cosine_accepted\": {},\n  \"merges\": {},\n  \
          \"clusters\": {},\n  \"index_bytes\": {},\n  \"batch_peak_bytes\": {},\n  \
@@ -228,6 +237,8 @@ fn main() {
          \"band_skipped_connected\": {},\n    \"scoring_secs\": {:.3},\n    \
          \"cosine_f1\": {:.4},\n    \"band_f1\": {:.4}\n  }}\n}}\n",
         scale.fit_secs,
+        scale.fit_stats.vocab_secs,
+        scale.fit_stats.transform_secs,
         s.total_secs,
         entities_per_s,
         candidates_per_s,

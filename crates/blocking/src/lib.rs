@@ -31,7 +31,7 @@ mod proptests;
 pub use cluster::UnionFind;
 pub use keyword::KeywordBlocker;
 pub use source::{
-    Candidate, CandidateSource, EntityStore, KeywordCandidates, QueryCandidates, TfIdfCandidates,
-    TfIdfSourceConfig,
+    Candidate, CandidateSource, EntityStore, FitStats, KeywordCandidates, QueryCandidates,
+    TfIdfCandidates, TfIdfSourceConfig,
 };
 pub use tfidf_block::{PruningReport, TfIdfBlocker};

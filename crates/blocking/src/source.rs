@@ -12,10 +12,16 @@
 use crate::KeywordBlocker;
 use hiergat_data::Entity;
 use hiergat_text::{
-    stop_terms_of, tokenize, ShardedCosineIndex, ShardedIndexBuilder, SparseVec, TfIdf,
-    TfIdfBuilder,
+    stop_terms_of, ShardedCosineIndex, ShardedIndexBuilder, SparseVec, TfIdf, TfIdfBuilder,
 };
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// Records per partial vocabulary in the first fit pass: small enough
+/// that a `fit_chunk` splits into several runs to spread over the pool,
+/// large enough that the serial merge walks each run's distinct terms,
+/// far fewer than its tokens. Fixed, so term ids never depend on width.
+const VOCAB_SUB_CHUNK: usize = 512;
 
 /// Random access to a (possibly virtual) entity table. Implementations
 /// may materialise rows on demand — the million-record synthetic corpus
@@ -142,50 +148,83 @@ pub struct TfIdfCandidates {
     top_n: usize,
     min_score: f32,
     exclude_self: bool,
+    fit_stats: FitStats,
+}
+
+/// Wall-clock split of [`TfIdfCandidates::fit_dedup`] into its two
+/// passes. Each pass renders every record once, so both include a full
+/// rendering of the store.
+#[derive(Debug, Clone, Copy)]
+pub struct FitStats {
+    /// Pass 1: tokenizing every record and counting the vocabulary with
+    /// its document frequencies.
+    pub vocab_secs: f64,
+    /// Pass 2: transforming every record to its TF-IDF vector and
+    /// pushing it into the sharded index.
+    pub transform_secs: f64,
 }
 
 impl TfIdfCandidates {
-    /// Two streaming passes over `store`: fit the vectorizer, then build
-    /// the sharded index and query vectors. Peak transient memory is one
-    /// `fit_chunk` of token lists; the retained state is the index
-    /// postings plus one sparse vector per record.
+    /// Two streaming passes over `store`, each rendering every record
+    /// once: fit the vectorizer, then build the sharded index and query
+    /// vectors. Peak transient memory is one `fit_chunk` of partial
+    /// vocabularies or vectors; the retained state is the index postings
+    /// plus one sparse vector per record.
     pub fn fit_dedup(store: &dyn EntityStore, cfg: &TfIdfSourceConfig) -> Self {
         let n = store.len();
         let ids: Vec<usize> = (0..n).collect();
+        let fit_chunk = cfg.fit_chunk.max(1);
 
-        // Pass 1: stream document frequencies.
+        // Pass 1: document frequencies. Each `VOCAB_SUB_CHUNK` run of
+        // records is counted into its own first-seen vocabulary across
+        // the pool; merging the runs in record order reproduces the ids
+        // and frequencies of one serial scan at any pool width.
+        let pass1 = Instant::now();
         let mut fit = TfIdfBuilder::new();
-        for chunk in ids.chunks(cfg.fit_chunk.max(1)) {
-            let toks: Vec<Vec<String>> =
-                parallel::par_map(chunk, |&i| tokenize(&store.entity(i).full_text()));
-            for t in &toks {
-                fit.add_doc(t);
+        for chunk in ids.chunks(fit_chunk) {
+            let runs: Vec<&[usize]> = chunk.chunks(VOCAB_SUB_CHUNK).collect();
+            let mut partials: Vec<TfIdfBuilder> =
+                runs.iter().map(|_| TfIdfBuilder::new()).collect();
+            // One task per run at any pool width (`par_map` would run a
+            // few wide items serially on a wide pool).
+            parallel::par_chunks_mut(&mut partials, 1, |r, partial| {
+                let mut buf = String::new();
+                for &i in runs[r] {
+                    partial[0].add_text(&store.entity(i).full_text(), &mut buf);
+                }
+            });
+            for partial in partials {
+                fit.merge(partial);
             }
         }
         let tfidf = fit.finish();
+        let vocab_secs = pass1.elapsed().as_secs_f64();
 
         // Pass 2: transform and index. Stop-term pruning drops postings
         // for ubiquitous terms; query vectors keep them (their dot
         // contribution vanishes against the pruned index either way).
+        let pass2 = Instant::now();
         let stop = cfg.max_df.map(|r| stop_terms_of(&tfidf, r)).unwrap_or_default();
         let mut builder = ShardedIndexBuilder::new(cfg.n_shards).with_stop_terms(stop);
         let mut queries: Vec<SparseVec> = Vec::with_capacity(n);
-        for chunk in ids.chunks(cfg.fit_chunk.max(1)) {
-            let vecs: Vec<SparseVec> = parallel::par_map(chunk, |&i| {
-                tfidf.transform(&tokenize(&store.entity(i).full_text()))
-            });
+        for chunk in ids.chunks(fit_chunk) {
+            let vecs: Vec<SparseVec> =
+                parallel::par_map(chunk, |&i| tfidf.transform_text(&store.entity(i).full_text()));
             for v in vecs {
                 builder.push(&v);
                 queries.push(v);
             }
         }
+        let index = builder.finish();
+        let fit_stats = FitStats { vocab_secs, transform_secs: pass2.elapsed().as_secs_f64() };
         Self {
             tfidf,
-            index: builder.finish(),
+            index,
             queries,
             top_n: cfg.top_n,
             min_score: cfg.min_score,
             exclude_self: true,
+            fit_stats,
         }
     }
 
@@ -194,9 +233,14 @@ impl TfIdfCandidates {
     pub fn fit_cross(queries: &[Entity], table: &dyn EntityStore, cfg: &TfIdfSourceConfig) -> Self {
         let mut source = Self::fit_dedup(table, cfg);
         source.queries =
-            queries.iter().map(|e| source.tfidf.transform(&tokenize(&e.full_text()))).collect();
+            queries.iter().map(|e| source.tfidf.transform_text(&e.full_text())).collect();
         source.exclude_self = false;
         source
+    }
+
+    /// Wall time of the two fit passes.
+    pub fn fit_stats(&self) -> FitStats {
+        self.fit_stats
     }
 
     pub fn tfidf(&self) -> &TfIdf {
@@ -380,6 +424,53 @@ mod tests {
         assert_eq!(out[0].score, 4.0);
         assert_eq!(out[1].id, 2);
         assert!(out.iter().all(|c| c.id != 0));
+    }
+
+    /// FNV-1a digest of a fitted source: its document frequencies, its
+    /// vocabulary size, and every query's candidates as (id, score bits).
+    fn source_digest(source: &TfIdfCandidates) -> u64 {
+        let mut bytes = Vec::new();
+        let mut field = |b: &[u8]| {
+            bytes.extend_from_slice(b);
+            bytes.push(0xff);
+        };
+        for &df in source.tfidf().doc_freqs() {
+            field(&df.to_le_bytes());
+        }
+        field(&(source.tfidf().vocab_size() as u64).to_le_bytes());
+        let mut out = Vec::new();
+        for q in 0..source.n_queries() {
+            source.fill_candidates(q, &mut out);
+            field(&(q as u64).to_le_bytes());
+            for c in &out {
+                field(&(c.id as u64).to_le_bytes());
+                field(&c.score.to_bits().to_le_bytes());
+            }
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Golden pin of the fitted source on a 3k-record synthetic corpus:
+    /// term ids, document frequencies and every candidate list must stay
+    /// bitwise identical across fit rewrites and pool widths.
+    #[test]
+    fn fitted_source_matches_golden_digest() {
+        let corpus = hiergat_data::SynthCorpus::new(hiergat_data::CorpusConfig {
+            n_records: 3000,
+            seed: 11,
+            ..hiergat_data::CorpusConfig::default()
+        });
+        for width in [1, 2, 8] {
+            let digest = parallel::with_threads(width, || {
+                source_digest(&TfIdfCandidates::fit_dedup(&corpus, &TfIdfSourceConfig::default()))
+            });
+            assert_eq!(
+                digest, 9_167_365_285_092_656_541,
+                "fitted source digest drifted at width {width}"
+            );
+        }
     }
 
     #[test]

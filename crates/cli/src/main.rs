@@ -259,6 +259,8 @@ struct ResolveSummary {
     batch_peak_bytes: u64,
     pruned_terms: usize,
     fit_secs: f64,
+    fit_vocab_secs: f64,
+    fit_transform_secs: f64,
     resolve_secs: f64,
     scoring_secs: f64,
     entities_per_s: f64,
@@ -344,13 +346,17 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     let fit_start = Instant::now();
     let source = TfIdfCandidates::fit_dedup(store.as_ref(), &src_cfg);
     let fit_secs = fit_start.elapsed().as_secs_f64();
+    let fit_stats = source.fit_stats();
     eprintln!(
-        "fitted sharded index: {} records, {} shards, {} postings ({} terms pruned), {:.1} MB, {fit_secs:.1}s",
+        "fitted sharded index: {} records, {} shards, {} postings ({} terms pruned), {:.1} MB, \
+         {fit_secs:.1}s (vocabulary {:.2}s, transform + index {:.2}s)",
         store.len(),
         shards,
         source.index().n_postings(),
         source.index().pruned_terms(),
         source.memory_bytes() as f64 / 1e6,
+        fit_stats.vocab_secs,
+        fit_stats.transform_secs,
     );
 
     let cfg = ResolveConfig { batch_size: batch, score_chunk: chunk, accept, band };
@@ -371,6 +377,8 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
         batch_peak_bytes: stats.batch_peak_bytes,
         pruned_terms: source.index().pruned_terms(),
         fit_secs,
+        fit_vocab_secs: fit_stats.vocab_secs,
+        fit_transform_secs: fit_stats.transform_secs,
         resolve_secs: stats.total_secs,
         scoring_secs: stats.scoring_secs,
         entities_per_s: stats.records as f64 / (fit_secs + stats.total_secs).max(1e-9),

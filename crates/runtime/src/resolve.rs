@@ -316,4 +316,51 @@ mod tests {
         assert_eq!(r.labels, vec![0, 0, 2, 2, 4]);
         assert_eq!(r.stats.clusters, 3);
     }
+
+    /// Adversarial rows must not break the pipeline: rows with no
+    /// attributes, all-`NAN` rows, rows made only of stop terms, a
+    /// 20k-token row, and emoji and non-ASCII text. Exact duplicates
+    /// among them must still merge, whatever the fit chunking.
+    #[test]
+    fn adversarial_records_resolve_and_merge_duplicates() {
+        let long: String = (0..20_000).map(|i| format!("tok{} ", i % 4099)).collect();
+        let row = |id: usize, attrs: &[(&str, &str)]| {
+            Entity::new(
+                id.to_string(),
+                attrs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
+            )
+        };
+        let texts: [&[(&str, &str)]; 14] = [
+            &[],
+            &[],
+            &[("title", ""), ("price", "NAN")],
+            &[("title", "NAN"), ("price", "  ")],
+            &[("title", "the and of"), ("brand", "the")],
+            &[("title", "of the and")],
+            &[("title", "and the of and")],
+            &[("title", &long)],
+            &[("title", "😀🎉🚀"), ("price", "💯")],
+            &[("title", "Café Crème Brûlée İstanbul 東京 ½ ٣٤ 😀")],
+            &[("title", "Café Crème Brûlée İstanbul 東京 ½ ٣٤ 😀")],
+            &[("title", "canon eos r5 mirrorless camera"), ("price", "3899.00")],
+            &[("title", "canon eos r5 mirrorless camera"), ("price", "3899.00")],
+            &[("title", "fender stratocaster 1,299.99 sunburst the")],
+        ];
+        let table: Vec<Entity> = texts.iter().enumerate().map(|(i, a)| row(i, a)).collect();
+        let mut first: Option<Vec<u32>> = None;
+        for fit_chunk in [1, 3, 4096] {
+            let src_cfg = TfIdfSourceConfig { fit_chunk, ..TfIdfSourceConfig::default() };
+            let src = TfIdfCandidates::fit_dedup(&table, &src_cfg);
+            let r = resolve(&src, &table, None, &ResolveConfig::default());
+            assert_eq!(r.labels.len(), table.len());
+            assert_eq!(r.labels[10], r.labels[9], "non-ASCII duplicates must merge");
+            assert_eq!(r.labels[12], r.labels[11], "exact duplicates must merge");
+            assert_ne!(r.labels[11], r.labels[9], "unrelated rows must stay apart");
+            assert_eq!(r.labels[7], 7, "the long row has no duplicate");
+            match &first {
+                None => first = Some(r.labels),
+                Some(f) => assert_eq!(&r.labels, f, "labels changed with fit_chunk {fit_chunk}"),
+            }
+        }
+    }
 }

@@ -2,9 +2,71 @@
 
 use crate::{
     jaccard, jaro, jaro_winkler, levenshtein, levenshtein_sim, tokenize, HashVocab,
-    ShardedCosineIndex, TfIdf,
+    ShardedCosineIndex, SparseVec, TfIdf, TfIdfBuilder, Tokenizer,
 };
 use proptest::prelude::*;
+
+/// Reference tokenizer: the per-char loop `Tokenizer::tokenize` ran before
+/// it became a collect over `for_each_token`, kept verbatim as the oracle.
+fn reference_tokenize(t: &Tokenizer, text: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut current = String::new();
+    let mut prev_is_digit = false;
+    for ch in text.chars() {
+        let is_word = ch.is_alphanumeric();
+        let is_numeric_joint = (ch == '.' || ch == ',') && prev_is_digit;
+        if is_word || is_numeric_joint {
+            if t.lowercase {
+                current.extend(ch.to_lowercase());
+            } else {
+                current.push(ch);
+            }
+            prev_is_digit = ch.is_ascii_digit();
+        } else {
+            if !current.is_empty() {
+                tokens.push(std::mem::take(&mut current));
+                if t.max_tokens > 0 && tokens.len() == t.max_tokens {
+                    return tokens;
+                }
+            }
+            prev_is_digit = false;
+        }
+    }
+    if !current.is_empty() && (t.max_tokens == 0 || tokens.len() < t.max_tokens) {
+        while current.ends_with('.') || current.ends_with(',') {
+            current.pop();
+        }
+        if !current.is_empty() {
+            tokens.push(current);
+        }
+    }
+    tokens
+}
+
+/// Characters the tokenizer treats specially: ASCII letters and digits,
+/// the `.`/`,` joiners, separators, a non-ASCII digit, letters whose
+/// lowercase is several chars (`İ`) or ASCII (Kelvin sign), a lone
+/// combining mark, and emoji.
+const TRICKY: &[char] = &[
+    'a', 'z', 'A', 'Q', '0', '5', '9', '.', ',', ' ', '-', '$', '\t', 'İ', 'É', 'ß', '\u{212A}',
+    'Σ', '٣', '½', 'é', '😀', '\u{307}',
+];
+
+/// Text mixing [`TRICKY`] characters with arbitrary Unicode scalar
+/// values, two to one, so digit/joiner runs come up often.
+fn arb_text() -> impl Strategy<Value = String> {
+    // `prop_oneof!` picks uniformly: the second `TRICKY` arm is the weight.
+    let ch = prop_oneof![
+        (0..TRICKY.len()).prop_map(|i| TRICKY[i]),
+        (0..TRICKY.len()).prop_map(|i| TRICKY[i]),
+        (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}')),
+    ];
+    proptest::collection::vec(ch, 0..48).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn bits(v: &SparseVec) -> Vec<(usize, u32)> {
+    v.entries().iter().map(|&(id, w)| (id, w.to_bits())).collect()
+}
 
 fn arb_word() -> impl Strategy<Value = String> {
     "[a-z0-9]{1,8}"
@@ -100,6 +162,68 @@ proptest! {
         for (i, d) in docs.iter().enumerate() {
             let hits = index.top_n(&tfidf.transform(d), 1);
             prop_assert_eq!(hits[0].0, i, "doc {} must retrieve itself first", i);
+        }
+    }
+}
+
+proptest! {
+    // The equivalence oracles are cheap; sample them more densely.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The visitor state machine tokenizes exactly like the old per-char
+    /// loop, in both case modes and under every small token cap.
+    #[test]
+    fn tokenize_matches_reference_loop(
+        text in arb_text(),
+        max_tokens in 0usize..4,
+        lowercase in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        let t = Tokenizer { lowercase, max_tokens };
+        prop_assert_eq!(t.tokenize(&text), reference_tokenize(&t, &text));
+    }
+
+    /// `transform_text` is bitwise the vector of `transform` over the
+    /// collected tokens, for query texts in and out of the vocabulary.
+    #[test]
+    fn transform_text_matches_transform(
+        corpus in proptest::collection::vec(arb_text(), 1..8),
+        query in arb_text(),
+    ) {
+        let docs: Vec<Vec<String>> = corpus.iter().map(|d| tokenize(d)).collect();
+        let tfidf = TfIdf::fit(&docs);
+        for text in corpus.iter().chain(std::iter::once(&query)) {
+            prop_assert_eq!(bits(&tfidf.transform_text(text)), bits(&tfidf.transform(&tokenize(text))));
+        }
+    }
+
+    /// Partial vocabularies counted over any in-order split of a corpus
+    /// (empty runs included) merge into the serial fit: the same term
+    /// ids, document frequencies and vectors.
+    #[test]
+    fn merged_partials_match_serial_fit(
+        corpus in proptest::collection::vec(arb_text(), 0..12),
+        cuts in proptest::collection::vec(0usize..12, 0..4),
+    ) {
+        let docs: Vec<Vec<String>> = corpus.iter().map(|d| tokenize(d)).collect();
+        let serial = TfIdf::fit(&docs);
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(corpus.len())).collect();
+        bounds.extend([0, corpus.len()]);
+        bounds.sort_unstable();
+        let mut merged = TfIdfBuilder::new();
+        let mut buf = String::new();
+        for run in bounds.windows(2) {
+            let mut partial = TfIdfBuilder::new();
+            for text in &corpus[run[0]..run[1]] {
+                partial.add_text(text, &mut buf);
+            }
+            merged.merge(partial);
+        }
+        let merged = merged.finish();
+        prop_assert_eq!(merged.n_docs(), serial.n_docs());
+        prop_assert_eq!(merged.vocab_size(), serial.vocab_size());
+        prop_assert_eq!(merged.doc_freqs(), serial.doc_freqs());
+        for (text, doc) in corpus.iter().zip(&docs) {
+            prop_assert_eq!(bits(&merged.transform_text(text)), bits(&serial.transform(doc)));
         }
     }
 }

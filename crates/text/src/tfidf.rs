@@ -4,6 +4,8 @@
 //! by TF-IDF cosine similarity; this module provides the fitted vectorizer
 //! and an inverted-index-backed top-N query used by `hiergat-blocking`.
 
+use crate::Tokenizer;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A sparse vector: sorted `(term id, weight)` pairs.
@@ -73,6 +75,13 @@ impl SparseVec {
 /// Streaming fit for [`TfIdf`]: feed documents one at a time so corpora
 /// of millions of records never need their token lists materialised at
 /// once. `TfIdf::fit` is a thin wrapper over this.
+///
+/// A builder is a first-seen vocabulary with per-term document
+/// frequencies over the documents it was fed, so it also serves as the
+/// partial fit of a run of documents: [`TfIdfBuilder::merge`] appends
+/// another builder's documents, giving the same term ids and frequencies
+/// as feeding them here directly. Fits can be split into chunks counted in
+/// parallel and merged in order.
 #[derive(Debug, Default)]
 pub struct TfIdfBuilder {
     term_ids: HashMap<String, usize>,
@@ -91,20 +100,66 @@ impl TfIdfBuilder {
     /// Counts one document's tokens into the vocabulary and document
     /// frequencies.
     pub fn add_doc<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.n_docs += 1;
-        let stamp = u32::try_from(self.n_docs).unwrap_or(u32::MAX);
+        let stamp = self.next_doc();
         for tok in tokens {
-            let next_id = self.term_ids.len();
-            let id = *self.term_ids.entry(tok.as_ref().to_string()).or_insert(next_id);
-            if id == self.doc_freq.len() {
-                self.doc_freq.push(0);
-                self.seen_stamp.push(0);
-            }
-            if self.seen_stamp[id] != stamp {
-                self.seen_stamp[id] = stamp;
-                self.doc_freq[id] += 1;
-            }
+            self.count(tok.as_ref(), stamp);
         }
+    }
+
+    /// Counts one document given as raw text, tokenized with the default
+    /// [`Tokenizer`] in `buf` — the same document frequencies as
+    /// `add_doc(&tokenize(text))`, without a `String` per token.
+    pub fn add_text(&mut self, text: &str, buf: &mut String) {
+        let stamp = self.next_doc();
+        Tokenizer::new().for_each_token(text, buf, |tok| self.count(tok, stamp));
+    }
+
+    /// Appends the documents counted by `later`, as if they had been
+    /// added here after everything already counted. A term new to `self`
+    /// takes the next id in `later`'s first-seen order, which is its
+    /// first-seen order over the concatenated documents — so ids,
+    /// frequencies and IDF are those of one serial fit.
+    pub fn merge(&mut self, later: TfIdfBuilder) {
+        let mut terms = vec![String::new(); later.term_ids.len()];
+        for (term, id) in later.term_ids {
+            terms[id] = term;
+        }
+        for (term, df) in terms.into_iter().zip(later.doc_freq) {
+            let id = match self.term_ids.get(term.as_str()) {
+                Some(&id) => id,
+                None => self.push_term(term),
+            };
+            self.doc_freq[id] += df;
+        }
+        self.n_docs += later.n_docs;
+    }
+
+    /// Starts a new document and returns its stamp.
+    fn next_doc(&mut self) -> u32 {
+        self.n_docs += 1;
+        u32::try_from(self.n_docs).unwrap_or(u32::MAX)
+    }
+
+    /// Counts `tok` for the document stamped `stamp`; allocates only the
+    /// first time the term is seen.
+    fn count(&mut self, tok: &str, stamp: u32) {
+        let id = match self.term_ids.get(tok) {
+            Some(&id) => id,
+            None => self.push_term(tok.to_string()),
+        };
+        if self.seen_stamp[id] != stamp {
+            self.seen_stamp[id] = stamp;
+            self.doc_freq[id] += 1;
+        }
+    }
+
+    /// Interns a term not yet in the vocabulary under the next id.
+    fn push_term(&mut self, term: String) -> usize {
+        let id = self.doc_freq.len();
+        self.term_ids.insert(term, id);
+        self.doc_freq.push(0);
+        self.seen_stamp.push(0);
+        id
     }
 
     /// Number of documents added so far.
@@ -146,21 +201,45 @@ impl TfIdf {
     /// Transforms a token list to an L2-normalized TF-IDF sparse vector.
     /// Unseen terms are ignored.
     pub fn transform<S: AsRef<str>>(&self, doc: &[S]) -> SparseVec {
-        let mut counts: HashMap<usize, f32> = HashMap::new();
-        for tok in doc {
-            if let Some(&id) = self.term_ids.get(tok.as_ref()) {
-                *counts.entry(id).or_default() += 1.0;
+        let mut ids: Vec<usize> =
+            doc.iter().filter_map(|tok| self.term_ids.get(tok.as_ref()).copied()).collect();
+        self.weigh(&mut ids)
+    }
+
+    /// Transforms raw text, tokenized with the default [`Tokenizer`]:
+    /// bitwise the vector `transform(&tokenize(text))` returns, without a
+    /// `String` per token.
+    pub fn transform_text(&self, text: &str) -> SparseVec {
+        thread_local! {
+            static SCRATCH: RefCell<(String, Vec<usize>)> =
+                const { RefCell::new((String::new(), Vec::new())) };
+        }
+        SCRATCH.with_borrow_mut(|(buf, ids)| {
+            ids.clear();
+            Tokenizer::new().for_each_token(text, buf, |tok| {
+                ids.extend(self.term_ids.get(tok).copied());
+            });
+            self.weigh(ids)
+        })
+    }
+
+    /// The finaliser both transforms share: sorts the term ids of one
+    /// document, weighs each distinct id by its run length (the term
+    /// frequency) times its IDF, and L2-normalizes.
+    fn weigh(&self, ids: &mut [usize]) -> SparseVec {
+        ids.sort_unstable();
+        let runs = || ids.chunk_by(|a, b| a == b);
+        // Exact capacity: a fitted source keeps one vector per record.
+        let mut entries = Vec::with_capacity(runs().count());
+        entries.extend(runs().map(|run| (run[0], run.len() as f32 * self.idf[run[0]])));
+        let mut v = SparseVec { entries };
+        let norm = v.norm();
+        if norm != 0.0 {
+            for (_, w) in &mut v.entries {
+                *w /= norm;
             }
         }
-        let pairs: Vec<(usize, f32)> =
-            counts.into_iter().map(|(id, tf)| (id, tf * self.idf[id])).collect();
-        let v = SparseVec::from_pairs(pairs);
-        let norm = v.norm();
-        if norm == 0.0 {
-            v
-        } else {
-            SparseVec { entries: v.entries.into_iter().map(|(id, w)| (id, w / norm)).collect() }
-        }
+        v
     }
 
     /// Vocabulary size after fitting.

@@ -34,39 +34,55 @@ impl Tokenizer {
     /// Splits `text` into tokens.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
-        let mut current = String::new();
+        self.for_each_token(text, &mut String::new(), |tok| tokens.push(tok.to_string()));
+        tokens
+    }
+
+    /// Calls `f` on each token of `text`, in order — the tokenizer's one
+    /// state machine, which [`Tokenizer::tokenize`] collects. Tokens are
+    /// assembled in `buf` (cleared first), so a caller that reuses one
+    /// buffer tokenizes without allocating once it has grown.
+    ///
+    /// Word characters are alphanumerics; `.` and `,` join a token only
+    /// right after an ASCII digit ("5.0", "1,299"). A joiner is trimmed
+    /// from the last token only ("costs 49." -> "49"). ASCII characters
+    /// take a table-free fast path; the rest go through the full Unicode
+    /// rules (`İ` lowercases to two chars, both kept).
+    pub fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        buf.clear();
+        let mut emitted = 0;
         let mut prev_is_digit = false;
         for ch in text.chars() {
-            let is_word = ch.is_alphanumeric();
-            // Keep '.' and ',' inside numbers ("5.0", "1,299") but not words.
-            let is_numeric_joint = (ch == '.' || ch == ',') && prev_is_digit;
-            if is_word || is_numeric_joint {
-                if self.lowercase {
-                    current.extend(ch.to_lowercase());
-                } else {
-                    current.push(ch);
+            if ch.is_ascii() {
+                if ch.is_ascii_alphanumeric() || (prev_is_digit && (ch == '.' || ch == ',')) {
+                    buf.push(if self.lowercase { ch.to_ascii_lowercase() } else { ch });
+                    prev_is_digit = ch.is_ascii_digit();
+                    continue;
                 }
-                prev_is_digit = ch.is_ascii_digit();
-            } else {
-                if !current.is_empty() {
-                    tokens.push(std::mem::take(&mut current));
-                    if self.max_tokens > 0 && tokens.len() == self.max_tokens {
-                        return tokens;
-                    }
+            } else if ch.is_alphanumeric() {
+                if self.lowercase {
+                    buf.extend(ch.to_lowercase());
+                } else {
+                    buf.push(ch);
                 }
                 prev_is_digit = false;
+                continue;
+            }
+            prev_is_digit = false;
+            if !buf.is_empty() {
+                f(buf);
+                buf.clear();
+                emitted += 1;
+                if emitted == self.max_tokens {
+                    return;
+                }
             }
         }
-        if !current.is_empty() && (self.max_tokens == 0 || tokens.len() < self.max_tokens) {
-            // Trim a trailing numeric joiner ("5." -> "5").
-            while current.ends_with('.') || current.ends_with(',') {
-                current.pop();
-            }
-            if !current.is_empty() {
-                tokens.push(current);
-            }
+        // Trim a trailing numeric joiner ("5." -> "5").
+        buf.truncate(buf.trim_end_matches(['.', ',']).len());
+        if !buf.is_empty() {
+            f(buf);
         }
-        tokens
     }
 }
 
