@@ -74,7 +74,7 @@ HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd \
   --test arena_differential --test arena_zero_alloc --test runtime_conformance
 
 # Optimiser differential gate: for every builtin model, the certified
-# tape optimiser must produce graphs whose session scores are bitwise
+# tape optimiser must produce graphs whose arena replay scores are bitwise
 # identical to the unoptimised eager path, with every rewrite certificate
 # valid and the optimised graphs lint-clean — under a real 1-wide and a
 # real 8-wide pool, and again under the simd microkernel tile (whose FMA
@@ -93,7 +93,7 @@ HIERGAT_THREADS=8 cargo test -q -p hiergat-bench --features simd --test optimize
 # absint feasibility table must hold Magellan F1 within the configured
 # delta of its f32 session, never grow the activation arena, strictly
 # shrink the total footprint, and score deterministically across pool
-# widths and optimiser settings — under a real 1-wide and a real 8-wide
+# widths — under a real 1-wide and a real 8-wide
 # pool, and again under the simd build (whose F16C encode path must
 # produce the same bits as the scalar converters).
 echo "==> HIERGAT_THREADS=1 cargo test -q -p hiergat-bench --test quantise_acceptance"
@@ -169,8 +169,9 @@ echo "==> hiergat quantise"
   --dataset fodors-zagats --scale 0.2 --tier dbert
 
 # Translation-validation gate: every builtin model graph must optimise
-# with valid shape + interval certificates, and the optimised session must
-# reproduce eager predictions bitwise (`--verify` runs the differential).
+# with valid shape + interval certificates, and the arena replay of the
+# optimised tape must reproduce eager predictions bitwise at widths 1 and
+# 8 (`--verify` runs the differential).
 echo "==> hiergat optimize --verify"
 ./target/release/hiergat optimize \
   --dataset fodors-zagats --scale 0.2 --tier dbert --verify

@@ -416,7 +416,9 @@ fn main() {
     let spec = registry.get("hiergat").expect("hiergat registered");
     let cx = BuildContext { tier: LmTier::MiniDistil, arity: ds.arity().max(1) };
     let mut session = Session::new(spec.build(&cx));
-    // Warm the plan cache so the timed loop measures steady-state replay.
+    // Warm the plan cache so the timed loop measures steady-state replay:
+    // every timed call re-scores a pair already seen (a warm number; the
+    // erbench `resolve_band` workload carries the cold claim).
     for p in &pairs {
         session.score(Example::Pair(p));
     }
@@ -426,33 +428,18 @@ fn main() {
     let (infer_s, infer_scores) = time_best(|| {
         pairs.iter().map(|p| session.score(Example::Pair(p))[0]).collect::<Vec<f32>>()
     });
-    // As-recorded replay (optimiser off): the certified rewrites must not
-    // cost throughput, and — being bitwise-exact — must not move a score.
-    session.set_optimize(false);
-    for p in &pairs {
-        session.score(Example::Pair(p));
-    }
-    let (plain_s, plain_scores) = time_best(|| {
-        pairs.iter().map(|p| session.score(Example::Pair(p))[0]).collect::<Vec<f32>>()
-    });
-    session.set_optimize(true);
-    let scores_bitwise = bits_f32(&eager_scores) == bits_f32(&infer_scores)
-        && bits_f32(&plain_scores) == bits_f32(&infer_scores);
+    let scores_bitwise = bits_f32(&eager_scores) == bits_f32(&infer_scores);
     let n_pairs = pairs.len() as f64;
-    let (eager_pps, infer_pps, plain_pps) =
-        (n_pairs / eager_s, n_pairs / infer_s, n_pairs / plain_s);
+    let (eager_pps, infer_pps) = (n_pairs / eager_s, n_pairs / infer_s);
     let scoring_speedup = eager_s / infer_s;
-    let optimize_speedup = plain_s / infer_s;
     let first = Example::Pair(pairs[0]);
     let train_arena = session.model().plan_training(first).arena_bytes;
     let infer_arena = session.model().plan_inference(first).arena_bytes;
 
     println!("pair scoring (HierGAT pairwise, {} pairs, eager vs inference session):", pairs.len());
     println!("  eager              {eager_pps:>8.1} pairs/s");
-    println!("  session (as-rec.)  {plain_pps:>8.1} pairs/s");
     println!(
-        "  session (optimised) {infer_pps:>7.1} pairs/s  speedup {scoring_speedup:>5.2}x eager, \
-         {optimize_speedup:.2}x as-recorded"
+        "  session (warm)     {infer_pps:>8.1} pairs/s  speedup {scoring_speedup:>5.2}x eager"
     );
     println!("  peak arena: training plan {train_arena} B, inference plan {infer_arena} B");
     println!("  scores bitwise {}", if scores_bitwise { "ok" } else { "MISMATCH" });
@@ -464,10 +451,6 @@ fn main() {
     assert!(
         scoring_speedup >= 1.3,
         "inference session must score at least 1.3x faster than eager, got {scoring_speedup:.2}x"
-    );
-    assert!(
-        optimize_speedup >= 0.95,
-        "optimised replay must not regress pairs/s vs as-recorded, got {optimize_speedup:.2}x"
     );
 
     // Certified optimiser deltas on the inference scoring graphs: node and
@@ -519,9 +502,7 @@ fn main() {
     let quant_drift =
         quant_scores.iter().zip(&infer_scores).map(|(q, f)| (q - f).abs()).fold(0.0f32, f32::max);
     println!("quantised scoring (same session, absint-driven int8/f16 storage):");
-    println!(
-        "  session (quantised) {quant_pps:>7.1} pairs/s  {quant_speedup:.2}x optimised f32 session"
-    );
+    println!("  session (quantised) {quant_pps:>7.1} pairs/s  {quant_speedup:.2}x f32 session");
     println!(
         "  weights {} -> {} B  arena {} -> {} B  max score drift {quant_drift:.4}",
         qreport.weights.bytes_f32,
@@ -557,9 +538,8 @@ fn main() {
     );
     let scoring_json = format!(
         "  \"scoring\": {{\"model\": \"hiergat-pairwise\", \"pairs\": {}, \
-         \"eager_pairs_per_s\": {eager_pps:.1}, \"session_pairs_per_s\": {infer_pps:.1}, \
-         \"unoptimized_session_pairs_per_s\": {plain_pps:.1}, \
-         \"speedup\": {scoring_speedup:.3}, \"optimize_speedup\": {optimize_speedup:.3}, \
+         \"eager_pairs_per_s\": {eager_pps:.1}, \"warm_session_pairs_per_s\": {infer_pps:.1}, \
+         \"speedup\": {scoring_speedup:.3}, \
          \"bitwise_equal\": {scores_bitwise}, \
          \"train_peak_arena_bytes\": {train_arena}, \
          \"infer_peak_arena_bytes\": {infer_arena}}},",

@@ -46,8 +46,9 @@
 //!   fusion) over each model's inference scoring graph and prints the
 //!   node / FLOP / arena-byte deltas plus per-rewrite certificate tallies.
 //!   `--verify` additionally proves interval containment for every rewrite
-//!   and differentially checks the optimised session against eager
-//!   prediction (bitwise), failing if either check does.
+//!   and differentially checks an arena replay of the optimised tape
+//!   against eager prediction (bitwise), failing if either check does.
+//!   Scoring sessions replay the recorded tape without this pass.
 //! * `quantise [--dataset amazon-google] [--scale 0.5] [--delta 0.05]
 //!   [--input-bound B] [--report] [--json]`
 //!   quantises every registry model's scoring session post-training,
@@ -73,6 +74,7 @@ use hiergat::{load_model, save_model, train_pairwise, HierGat, HierGatConfig};
 use hiergat_data::io::{read_entity_table, read_pairs};
 use hiergat_data::{CollectiveDataset, MagellanDataset, PairDataset};
 use hiergat_lm::{corpus_from_entities, pretrain, LmTier, PretrainConfig};
+use hiergat_nn::{optimize, ArenaExecutor, ExecutionPlan, OptimizeConfig, Tape};
 use hiergat_runtime::{
     BuildContext, ErModel, Example, HierGatPairwise, ModelKind, ModelRegistry, ModelSpec, Session,
 };
@@ -214,7 +216,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 
 fn cmd_predict(args: &Args) -> Result<(), String> {
     let model = load_model(args.require("model")?).map_err(|e| e.to_string())?;
-    let pairs = read_pairs(args.require("pairs")?).map_err(|e| e.to_string())?;
+    let path = args.require("pairs")?;
+    let pairs = read_pairs(path).map_err(|e| e.to_string())?;
     // The session scores through cached forward-only arena plans (bitwise
     // identical to the eager path) and carries the checkpoint's
     // validation-tuned threshold; `--threshold` overrides it.
@@ -223,7 +226,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
         session.set_threshold(threshold?);
     }
     let threshold = session.threshold();
-    let scores = session.score_pairs(&pairs);
+    let scores = session.try_score_pairs(&pairs).map_err(|e| format!("{path}: {e}"))?;
     println!("score,prediction");
     for score in scores {
         println!("{score:.4},{}", u8::from(score >= threshold));
@@ -263,6 +266,9 @@ struct ResolveSummary {
     fit_transform_secs: f64,
     resolve_secs: f64,
     scoring_secs: f64,
+    /// Share of band pairs whose graph shape hit the session's plan cache
+    /// (`None` without a model).
+    band_plan_hit_rate: Option<f64>,
     entities_per_s: f64,
     candidates_per_s: f64,
     cluster_precision: Option<f64>,
@@ -335,6 +341,12 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
     if store.is_empty() {
         return Err("corpus is empty".into());
     }
+    if let Some(session) = &session {
+        // Every record of a store shares one schema (the CSV reader rejects
+        // ragged rows; the synthetic corpus renders one schema), so the
+        // first record speaks for all of them.
+        session.model().check_entity(&store.entity(0)).map_err(|e| format!("corpus: {e}"))?;
+    }
 
     let src_cfg = TfIdfSourceConfig {
         top_n: top,
@@ -381,6 +393,7 @@ fn cmd_resolve(args: &Args) -> Result<(), String> {
         fit_transform_secs: fit_stats.transform_secs,
         resolve_secs: stats.total_secs,
         scoring_secs: stats.scoring_secs,
+        band_plan_hit_rate: session.as_ref().map(|s| s.stats().plan_hit_rate()),
         entities_per_s: stats.records as f64 / (fit_secs + stats.total_secs).max(1e-9),
         candidates_per_s: stats.candidates as f64 / stats.total_secs.max(1e-9),
         cluster_precision: cluster_scores.map(|s| s.precision),
@@ -698,14 +711,15 @@ struct ModelOptimize {
     arena_bytes_before: u64,
     arena_bytes_after: u64,
     certificates_valid: bool,
-    /// Eager predict vs optimised session, bitwise; always `true` when
-    /// `--verify` is off (the check is skipped).
+    /// Eager predict vs arena replay of the optimised tape, bitwise at
+    /// split widths 1 and 8; always `true` when `--verify` is off (the
+    /// check is skipped).
     differential_ok: bool,
     report: hiergat_nn::OptimizeReport,
 }
 
 /// The full `optimize --json` document: per-model optimiser reports plus
-/// the arena deltas of the session plans they feed.
+/// the arena deltas of the inference plans before and after optimisation.
 #[derive(serde::Serialize)]
 struct OptimizeOutput {
     verify: bool,
@@ -714,41 +728,42 @@ struct OptimizeOutput {
     failed: bool,
 }
 
+/// Replays the one-shot optimiser's output for `example` through an arena
+/// executor at split widths 1 and 8, two rounds each (plan build, then
+/// cache hit), and compares every score bitwise with eager `predict`.
+fn optimized_replay_matches_eager(model: &dyn ErModel, example: Example<'_>) -> bool {
+    let eager = model.predict(example);
+    [1, 8].into_iter().all(|width| {
+        parallel::with_threads(width, || {
+            let mut exec = ArenaExecutor::new();
+            let mut buf = vec![0.0f32; 2 * eager.len()];
+            (0..2).all(|_| {
+                let mut t = Tape::inference();
+                let probs = model.record_scores(&mut t, example);
+                let opt = optimize(&t, probs, model.params(), &OptimizeConfig::default());
+                exec.infer_into(&opt.tape, opt.root, model.params(), &mut buf);
+                // Row-major `n x 2` probabilities; column 1 is P(match).
+                eager.iter().zip(buf.chunks(2)).all(|(e, row)| e.to_bits() == row[1].to_bits())
+            })
+        })
+    })
+}
+
 fn cmd_optimize(args: &Args) -> Result<(), String> {
     let verify = args.has_flag("verify");
     let (ds, ds_c, tier) = registry_inputs(args)?;
-    let pair = ds.train.first().ok_or("dataset has no training pairs")?;
-    let ex_c = ds_c.train.first().ok_or("collective dataset has no training examples")?;
-    let pair_cx = BuildContext { tier, arity: ds.arity().max(1) };
-    let coll_cx = BuildContext { tier, arity: ex_c.query.attrs.len().max(1) };
-
-    // Builds boxed models directly (rather than via `for_each_model`)
-    // because the `--verify` differential consumes each model into a
-    // scoring `Session`.
     let mut models = Vec::new();
-    for spec in ModelRegistry::builtin().specs() {
-        let (cx, example) = match spec.kind() {
-            ModelKind::Pairwise => (&pair_cx, Example::Pair(pair)),
-            ModelKind::Collective => (&coll_cx, Example::Collective(ex_c)),
-        };
-        let model = spec.build(cx);
+    for_each_model(tier, &ds, &ds_c, |spec, model, example| {
         let report = model.optimize_report(example, verify);
         // Arena budget of the as-recorded inference plan vs the optimised
-        // one the session actually replays.
-        let mut t = hiergat_nn::Tape::inference();
+        // one, both planned here from one recording.
+        let mut t = Tape::inference();
         let probs = model.record_scores(&mut t, example);
-        let arena_bytes_before =
-            hiergat_nn::ExecutionPlan::build_inference(&t, probs).report().arena_bytes;
-        let arena_bytes_after = model.plan_inference(example).arena_bytes;
-        let differential_ok = if verify {
-            let eager = model.predict(example);
-            let mut session = Session::new(model);
-            let scored = session.score(example);
-            eager.len() == scored.len()
-                && eager.iter().zip(&scored).all(|(e, s)| e.to_bits() == s.to_bits())
-        } else {
-            true
-        };
+        let opt = optimize(&t, probs, model.params(), &OptimizeConfig::default());
+        let arena_bytes_before = ExecutionPlan::build_inference(&t, probs).report().arena_bytes;
+        let arena_bytes_after =
+            ExecutionPlan::build_inference(&opt.tape, opt.root).report().arena_bytes;
+        let differential_ok = !verify || optimized_replay_matches_eager(model, example);
         models.push(ModelOptimize {
             model: spec.display().to_string(),
             arena_bytes_before,
@@ -757,7 +772,7 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
             differential_ok,
             report,
         });
-    }
+    })?;
 
     let out = OptimizeOutput {
         verify,
@@ -1128,6 +1143,47 @@ mod tests {
         .map(ToString::to_string)
         .collect();
         run(&argv).expect("optimize --verify");
+    }
+
+    /// Saves an untrained 4-attribute HierGAT checkpoint under `dir` and
+    /// writes 1-attribute pair and table files beside it.
+    fn mismatched_model_fixture(dir: &std::path::Path) -> (String, String, String) {
+        std::fs::create_dir_all(dir).expect("tmp");
+        let model = HierGat::new(HierGatConfig::pairwise().with_tier(LmTier::MiniDistil), 4);
+        let model_dir = dir.join("model");
+        save_model(&model, &model_dir).expect("save");
+        let pairs = dir.join("pairs.csv");
+        std::fs::write(&pairs, "ltable_name,rtable_name,label\ncanon eos,canon eos body,1\n")
+            .expect("write");
+        let table = dir.join("table.csv");
+        std::fs::write(&table, "id,name\n1,canon eos camera\n2,canon eos camera body\n")
+            .expect("write");
+        let path = |p: std::path::PathBuf| p.display().to_string();
+        (path(model_dir), path(pairs), path(table))
+    }
+
+    #[test]
+    fn predict_refuses_pairs_with_the_wrong_attribute_count() {
+        let (model, pairs, _) =
+            mismatched_model_fixture(&std::env::temp_dir().join("hiergat-cli-arity-predict"));
+        let argv: Vec<String> =
+            ["predict", "--model", &model, "--pairs", &pairs].map(ToString::to_string).to_vec();
+        let err =
+            run(&argv).expect_err("a 1-attribute pair file must not score on a 4-attribute model");
+        assert!(err.contains("has 1 attribute(s) but the model was built for 4"), "{err}");
+    }
+
+    #[test]
+    fn resolve_refuses_a_table_with_the_wrong_attribute_count() {
+        let (model, _, table) =
+            mismatched_model_fixture(&std::env::temp_dir().join("hiergat-cli-arity-resolve"));
+        let argv: Vec<String> =
+            ["resolve", "--table", &table, "--band", "0:0.99", "--model", &model, "--json"]
+                .map(ToString::to_string)
+                .to_vec();
+        let err =
+            run(&argv).expect_err("a 1-attribute table must not score on a 4-attribute model");
+        assert!(err.contains("has 1 attribute(s) but the model was built for 4"), "{err}");
     }
 
     #[test]

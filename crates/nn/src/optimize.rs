@@ -38,9 +38,11 @@
 //! Except for the log-softmax fusion (which genuinely changes the
 //! floating-point evaluation and only appears in hand-written graphs —
 //! the models all record the fused op directly), every rewrite above is
-//! bitwise-exact, which is why `runtime::Session` can run the optimiser
-//! on its hot scoring path while the conformance suite pins
-//! session == eager equality.
+//! bitwise-exact: replaying an optimised tape through the arena executor
+//! scores exactly what eager evaluation does (`tests/optimize_differential.rs`
+//! pins this for every registry model). `runtime::Session` does not run the
+//! optimiser; it replays the recorded tape, since band pairs rarely repeat
+//! a geometry and a per-pair optimiser run costs more than it saves.
 
 use crate::absint::{propagate, AbsintConfig, Interval, SeedMode};
 use crate::analyze::cost_analysis;
@@ -252,9 +254,8 @@ pub fn optimize(tape: &Tape, root: Var, ps: &ParamStore, cfg: &OptimizeConfig) -
 
 /// Like [`optimize`] but consumes the tape, letting the emission sweep
 /// **move** `Input` leaf tensors onto the optimised tape instead of
-/// deep-copying them. On the `Session` scoring hot path, where the
-/// recorded tape is discarded right after optimisation anyway, this is
-/// the difference between the optimiser paying for itself and not.
+/// deep-copying them. On a scoring loop that discards the recorded tape
+/// right after optimisation anyway, this saves one copy of every input.
 ///
 /// Semantics are identical to the borrowing path with one exception:
 /// `Input` leaves no longer CSE-merge (the first twin's bits have already
@@ -306,7 +307,8 @@ struct CacheEntry {
 
 /// Memoised optimiser output keyed by graph structure, for callers that
 /// optimise a stream of same-shaped deferred tapes
-/// ([`optimize_with_cache`]).
+/// ([`optimize_with_cache`]). Scoring sessions no longer use it; the
+/// benchmark's per-layer `nn` trace still does.
 ///
 /// Planning — fusion scanning, the absint fold proof, liveness, and above
 /// all CSE keying — dominates the optimiser's cost, and even re-emitting

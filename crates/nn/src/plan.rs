@@ -130,16 +130,19 @@ pub(crate) enum Probe {
 /// decisions). At [`CACHE_CAP`] entries an insert clears the cache first.
 /// The unkeyed hash need not resist crafted collisions, since shapes
 /// follow record lengths: a bucket holds at most `CACHE_CAP` entries and
-/// each confirmation is one slice compare.
+/// each confirmation is one slice compare. Every probe counts as a hit or
+/// a miss.
 pub(crate) struct ShapeCache<V> {
     buckets: HashMap<u64, Vec<(Vec<u64>, V)>>,
     len: usize,
     scratch: Vec<u64>,
+    hits: u64,
+    misses: u64,
 }
 
 impl<V> Default for ShapeCache<V> {
     fn default() -> Self {
-        Self { buckets: HashMap::new(), len: 0, scratch: Vec::new() }
+        Self { buckets: HashMap::new(), len: 0, scratch: Vec::new(), hits: 0, misses: 0 }
     }
 }
 
@@ -170,8 +173,14 @@ impl<V> ShapeCache<V> {
             .get(&hash)
             .and_then(|bucket| bucket.iter().position(|(s, v)| s == sig && accept(v)));
         match hit {
-            Some(ix) => Probe::Hit { hash, ix },
-            None => Probe::Miss { hash, sig: sig.clone() },
+            Some(ix) => {
+                self.hits += 1;
+                Probe::Hit { hash, ix }
+            }
+            None => {
+                self.misses += 1;
+                Probe::Miss { hash, sig: sig.clone() }
+            }
         }
     }
 
@@ -630,6 +639,18 @@ impl ArenaExecutor {
     /// Number of distinct graph shapes planned so far.
     pub fn plans_cached(&self) -> usize {
         self.plans.len()
+    }
+
+    /// Plan lookups `(hits, misses)` since construction or the last
+    /// [`Self::reset_plan_counts`]. Every `forward`, `step`, `infer*` and
+    /// `*_report` call is one lookup; a miss builds and caches a plan.
+    pub fn plan_counts(&self) -> (u64, u64) {
+        (self.plans.hits, self.plans.misses)
+    }
+
+    /// Zeroes the [`Self::plan_counts`] counters; cached plans stay.
+    pub fn reset_plan_counts(&mut self) {
+        (self.plans.hits, self.plans.misses) = (0, 0);
     }
 
     /// Looks up (or builds) the plan for this tape's shape signature.

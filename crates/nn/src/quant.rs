@@ -41,8 +41,8 @@
 //! width** by construction. The certified tape optimiser is deliberately
 //! *not* applied: its certificates prove f32 semantics (bitwise
 //! equivalence of rewrites), which lossy stores would void. A quantised
-//! session therefore always replays the as-recorded tape, and
-//! `Session::set_optimize` is a no-op on the quantised path.
+//! session therefore replays the as-recorded tape, as the f32 session
+//! does.
 //!
 //! Quantised plans are cached in the executor's own shape-keyed cache
 //! (the crate's one signature format and cap), so a quantised plan can

@@ -26,7 +26,7 @@ pub mod registry;
 pub mod resolve;
 pub mod session;
 
-pub use model::{ErModel, Example, HierGatCollective, HierGatPairwise, ModelKind};
+pub use model::{ErModel, Example, HierGatCollective, HierGatPairwise, InputError, ModelKind};
 pub use registry::{BuildContext, ModelRegistry, ModelSpec};
 pub use resolve::{resolve, Resolution, ResolveConfig, ResolveStats};
-pub use session::{QuantReport, Session};
+pub use session::{QuantReport, Session, SessionStats};

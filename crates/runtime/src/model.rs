@@ -11,11 +11,41 @@
 use hiergat::HierGat;
 use hiergat_baselines::traits::{CollectiveErModel, PairModel};
 use hiergat_baselines::{DeepMatcher, Ditto, DmPlus, GnnCollective};
-use hiergat_data::{CollectiveExample, EntityPair};
+use hiergat_data::{CollectiveExample, Entity, EntityPair};
 use hiergat_nn::{
     audit_graph, lint_graph, optimize, AbsintConfig, AuditReport, ExecutionPlan, GraphReport,
     LintConfig, LintReport, OptimizeConfig, OptimizeReport, ParamStore, PlanReport, Tape, Var,
 };
+use std::fmt;
+
+/// Why a model refused an input before recording its scoring graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InputError {
+    /// An entity carries a different number of attributes than the model
+    /// was built for (e.g. a 1-attribute CSV scored by a 4-attribute
+    /// checkpoint).
+    Arity {
+        /// The offending entity's id.
+        entity: String,
+        /// The model's attribute count.
+        expected: usize,
+        /// The entity's attribute count.
+        found: usize,
+    },
+}
+
+impl fmt::Display for InputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Arity { entity, expected, found } => write!(
+                f,
+                "entity '{entity}' has {found} attribute(s) but the model was built for {expected}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InputError {}
 
 /// Whether a model scores independent pairs or whole candidate sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +129,29 @@ pub trait ErModel: Send + Sync {
     /// liveness).
     fn plan_training(&self, ex: Example<'_>) -> PlanReport;
 
+    /// Attribute count every input entity must carry, or `None` when the
+    /// model reads entities of any arity.
+    fn arity(&self) -> Option<usize> {
+        None
+    }
+
+    /// Checks one entity against the model's input contract: a
+    /// fixed-arity model refuses an entity with a different attribute
+    /// count, which would otherwise fail a matmul shape check deep inside
+    /// the tape.
+    ///
+    /// # Errors
+    /// [`InputError::Arity`] when the entity's attribute count differs
+    /// from [`Self::arity`].
+    fn check_entity(&self, e: &Entity) -> Result<(), InputError> {
+        match self.arity() {
+            Some(expected) if e.arity() != expected => {
+                Err(InputError::Arity { entity: e.id.clone(), expected, found: e.arity() })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Validation-tuned decision threshold; 0.5 until tuned.
     fn decision_threshold(&self) -> f32 {
         0.5
@@ -131,13 +184,12 @@ pub trait ErModel: Send + Sync {
 
     /// Arena memory plan of the inference scoring graph (forward-only
     /// liveness: no gradient slots, no backward keep-alives), as the
-    /// session executes it — i.e. after the certified tape optimiser has
-    /// rewritten the recorded graph (sessions optimise by default).
+    /// session executes it: the graph exactly as recorded, with no tape
+    /// optimiser pass.
     fn plan_inference(&self, ex: Example<'_>) -> PlanReport {
         let mut t = Tape::inference();
         let probs = self.record_scores(&mut t, ex);
-        let opt = optimize(&t, probs, self.params(), &OptimizeConfig::default());
-        ExecutionPlan::build_inference(&opt.tape, opt.root).report().clone()
+        ExecutionPlan::build_inference(&t, probs).report().clone()
     }
 
     /// Runs the certified tape optimiser over the inference scoring graph
@@ -158,6 +210,9 @@ pub trait ErModel: Send + Sync {
 pub struct HierGatPairwise(pub HierGat);
 
 impl ErModel for HierGatPairwise {
+    fn arity(&self) -> Option<usize> {
+        Some(self.0.arity())
+    }
     fn kind(&self) -> ModelKind {
         ModelKind::Pairwise
     }
@@ -191,6 +246,9 @@ impl ErModel for HierGatPairwise {
 pub struct HierGatCollective(pub HierGat);
 
 impl ErModel for HierGatCollective {
+    fn arity(&self) -> Option<usize> {
+        Some(self.0.arity())
+    }
     fn kind(&self) -> ModelKind {
         ModelKind::Collective
     }

@@ -2,32 +2,33 @@
 //! plans, behind a batched scoring API.
 //!
 //! A session records each example's eval-mode scoring graph on a
-//! forward-only tape ([`Tape::inference`]), runs the certified tape
-//! optimiser over it (DCE / CSE / constant folding / fusion, every default
-//! rewrite bitwise-exact — see `hiergat_nn::optimize`), and replays the
-//! result through the arena executor's cached inference plans: parameters
-//! enter as placeholders (no per-call weight cloning, unlike eager tapes)
-//! and node values live in one planned arena (no per-node heap allocation).
-//! Scores are bitwise identical to the model's eager `predict` path — same
-//! kernels, same evaluation order on the surviving nodes — so a session is
-//! a drop-in, faster scorer. [`Session::set_optimize`] restores the
-//! as-recorded replay.
+//! forward-only tape ([`Tape::inference`]) and replays that tape as
+//! recorded through the arena executor's cached inference plans:
+//! parameters enter as placeholders (no per-call weight cloning, unlike
+//! eager tapes) and node values live in one planned arena (no per-node
+//! heap allocation). Scores are bitwise identical to the model's eager
+//! `predict` path — same graph, same kernels, same evaluation order — so a
+//! session is a drop-in, faster scorer. The certified tape optimiser
+//! (`hiergat_nn::optimize`) is not on this path: nearly every scored pair
+//! has a graph geometry the session has not seen, so optimising each tape
+//! costs more than replaying it saves, and its rewrites are bitwise-exact,
+//! so it would change no score.
 //!
 //! [`Session::score_batch`] fans examples out over the `parallel` pool
 //! (`HIERGAT_THREADS` governs the width) through one helper shared by the
 //! f32 and quantised paths: a serial slot for small batches plus one slot
-//! per worker. Each slot keeps its own executor (and, on the f32 path, its
-//! optimiser cache) across calls. Every such cache is keyed by the graph's
-//! shape signature and holds at most `CACHE_CAP` = 256 entries, clearing
-//! at the cap, so a session replays compiled work whenever a pair's record
-//! geometry repeats. Every example is scored independently, so results
-//! never depend on the chunk geometry and a 1-thread and an 8-thread run
-//! are bitwise identical.
+//! per worker. Each slot keeps its own executor across calls. Every
+//! executor's plan cache is keyed by the graph's shape signature and holds
+//! at most `CACHE_CAP` = 256 entries, clearing at the cap, so a session
+//! replays a compiled plan whenever a pair's record geometry repeats;
+//! [`Session::stats`] counts those hits and misses. Every example is
+//! scored independently, so results never depend on the chunk geometry
+//! and a 1-thread and an 8-thread run are bitwise identical.
 
-use crate::model::{ErModel, Example};
+use crate::model::{ErModel, Example, InputError};
 use hiergat_nn::{
-    optimize_with_cache, ArenaExecutor, OptimizeConfig, OptimizerCache, QuantConfig, QuantError,
-    QuantExecutor, QuantPlan, QuantStore, QuantStoreReport, Tape,
+    ArenaExecutor, QuantConfig, QuantError, QuantExecutor, QuantPlan, QuantStore, QuantStoreReport,
+    Tape,
 };
 use std::sync::Mutex;
 
@@ -35,18 +36,37 @@ use std::sync::Mutex;
 pub struct Session {
     model: Box<dyn ErModel>,
     threshold: f32,
-    serial: Slot,
-    workers: Vec<Slot>,
-    optimize: bool,
+    serial: ArenaExecutor,
+    workers: Vec<ArenaExecutor>,
+    /// Examples scored on the f32 path since the last [`Self::reset_stats`].
+    calls: u64,
     quant: Option<QuantState>,
 }
 
-/// One f32 scoring slot: an arena executor and the optimiser cache that
-/// feeds it, both persisting across calls.
-#[derive(Default)]
-struct Slot {
-    exec: ArenaExecutor,
-    cache: OptimizerCache,
+/// Plan-cache behaviour of a session's f32 scoring path, summed over the
+/// serial slot and every worker slot (see [`Session::stats`]). Every
+/// scored example is one plan lookup, so `plan_hits + plan_misses ==
+/// calls`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// Examples scored.
+    pub calls: u64,
+    /// Examples whose graph shape already had a cached inference plan.
+    pub plan_hits: u64,
+    /// Examples that built (and cached) a new inference plan.
+    pub plan_misses: u64,
+}
+
+impl SessionStats {
+    /// Share of plan lookups that hit the cache (0 before any call).
+    pub fn plan_hit_rate(&self) -> f64 {
+        let lookups = self.plan_hits + self.plan_misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            self.plan_hits as f64 / lookups as f64
+        }
+    }
 }
 
 /// Quantised-session state: the immutable audit-driven weight store plus
@@ -73,37 +93,20 @@ pub struct QuantReport {
     pub class_nodes: (usize, usize, usize),
 }
 
-/// Records `ex`'s scoring graph on an inference tape, optionally runs the
-/// certified tape optimiser over it, and replays the result through `slot`,
-/// returning the match probability per output. Every default-config rewrite
-/// is bitwise-exact, so the optimised replay still matches eager `predict`.
-fn score_one(model: &dyn ErModel, slot: &mut Slot, ex: Example<'_>, optimized: bool) -> Vec<f32> {
+/// Records `ex`'s scoring graph on an inference tape and replays it as
+/// recorded through `exec`, returning the match probability per output.
+fn score_one(model: &dyn ErModel, exec: &mut ArenaExecutor, ex: Example<'_>) -> Vec<f32> {
     let n = ex.n_outputs();
     let mut t = Tape::inference();
     let probs = model.record_scores(&mut t, ex);
     // The probability node is row-major `n x 2`; column 1 is P(match).
     let mut buf = vec![0.0f32; n * 2];
-    if optimized {
-        // The cached-tape fast path: after the first example of a given
-        // record geometry, the optimiser skips planning and emission
-        // entirely — it revalidates its cached decisions against the fresh
-        // tape, patches the fresh inputs/payloads into the cached optimised
-        // tape, and hands that back (no certificate records; shape checks
-        // still run). The recorded tape is discarded here either way.
-        let hot = OptimizeConfig::hot();
-        let opt = optimize_with_cache(&mut slot.cache, t, probs, model.params(), &hot);
-        slot.exec.infer_into(opt.tape, opt.root, model.params(), &mut buf);
-    } else {
-        slot.exec.infer_into(&t, probs, model.params(), &mut buf);
-    }
+    exec.infer_into(&t, probs, model.params(), &mut buf);
     (0..n).map(|i| buf[i * 2 + 1]).collect()
 }
 
 /// The quantised twin of [`score_one`]: replays the as-recorded inference
-/// tape through the class-arena executor. The certified tape optimiser is
-/// deliberately skipped — its certificates prove f32 bitwise semantics,
-/// which lossy stores void — so the quantised path behaves identically
-/// whatever [`Session::set_optimize`] says.
+/// tape through the class-arena executor.
 fn score_one_quant(
     model: &dyn ErModel,
     exec: &mut QuantExecutor,
@@ -159,16 +162,15 @@ fn fan_out<'e, W: Default + Send>(
 }
 
 impl Session {
-    /// Wraps a model, adopting its persisted decision threshold. The
-    /// certified tape optimiser is on by default; see [`Self::set_optimize`].
+    /// Wraps a model, adopting its persisted decision threshold.
     pub fn new(model: Box<dyn ErModel>) -> Self {
         let threshold = model.decision_threshold();
         Self {
             model,
             threshold,
-            serial: Slot::default(),
+            serial: ArenaExecutor::new(),
             workers: Vec::new(),
-            optimize: true,
+            calls: 0,
             quant: None,
         }
     }
@@ -229,24 +231,49 @@ impl Session {
         self.threshold = threshold;
     }
 
-    /// Whether scoring replays the optimised tape (default `true`).
-    pub fn optimizes(&self) -> bool {
-        self.optimize
-    }
-
-    /// Toggles the certified tape optimiser for this session. Optimised and
-    /// as-recorded graphs carry distinct plan-cache signatures, so flipping
-    /// this mid-session never replays a stale plan. A quantised session
-    /// ignores this flag: the optimiser's certificates prove f32 bitwise
-    /// semantics, so the quantised path always replays the as-recorded tape.
-    pub fn set_optimize(&mut self, optimize: bool) {
-        self.optimize = optimize;
-    }
-
     /// Capacity of the serial scoring arena, in bytes (grows to the largest
     /// inference plan seen; 0 before the first call).
     pub fn arena_capacity_bytes(&self) -> u64 {
-        self.serial.exec.arena_capacity_bytes()
+        self.serial.arena_capacity_bytes()
+    }
+
+    /// Calls and plan-cache hits and misses of the f32 scoring path since
+    /// the session was built or [`Self::reset_stats`] last ran. A quantised
+    /// session's calls are not counted.
+    pub fn stats(&self) -> SessionStats {
+        let mut stats = SessionStats { calls: self.calls, ..SessionStats::default() };
+        for exec in std::iter::once(&self.serial).chain(&self.workers) {
+            let (hits, misses) = exec.plan_counts();
+            stats.plan_hits += hits;
+            stats.plan_misses += misses;
+        }
+        stats
+    }
+
+    /// Zeroes [`Self::stats`]; cached plans stay.
+    pub fn reset_stats(&mut self) {
+        self.calls = 0;
+        for exec in std::iter::once(&mut self.serial).chain(&mut self.workers) {
+            exec.reset_plan_counts();
+        }
+    }
+
+    /// Checks every entity of `pairs` against the model's input contract
+    /// (see [`ErModel::check_entity`]) before anything is recorded, then
+    /// scores them like [`Self::score_pairs`].
+    ///
+    /// # Errors
+    /// The first pair whose entities the model cannot read, e.g. one with
+    /// a different attribute count than the model was built for.
+    pub fn try_score_pairs(
+        &mut self,
+        pairs: &[hiergat_data::EntityPair],
+    ) -> Result<Vec<f32>, InputError> {
+        for pair in pairs {
+            self.model.check_entity(&pair.left)?;
+            self.model.check_entity(&pair.right)?;
+        }
+        Ok(self.score_pairs(pairs))
     }
 
     /// Scores one example: match probability per output. Bitwise identical
@@ -257,7 +284,8 @@ impl Session {
         if let Some(q) = self.quant.as_mut() {
             return score_one_quant(&*self.model, &mut q.exec, &q.store, ex);
         }
-        score_one(&*self.model, &mut self.serial, ex, self.optimize)
+        self.calls += 1;
+        score_one(&*self.model, &mut self.serial, ex)
     }
 
     /// Interval abstract-interpretation audit of the scoring graph this
@@ -287,9 +315,9 @@ impl Session {
                 score_one_quant(model, exec, qstore, ex)
             });
         }
-        let optimized = self.optimize;
-        fan_out(&mut self.serial, &mut self.workers, examples, |slot, ex| {
-            score_one(model, slot, ex, optimized)
+        self.calls += examples.len() as u64;
+        fan_out(&mut self.serial, &mut self.workers, examples, |exec, ex| {
+            score_one(model, exec, ex)
         })
     }
 
@@ -366,19 +394,50 @@ mod tests {
     }
 
     #[test]
-    fn optimised_and_as_recorded_sessions_agree_bitwise() {
+    fn stats_count_one_plan_lookup_per_call_at_widths_1_and_8() {
         let ds = MagellanDataset::FodorsZagats.load(0.15);
-        let pairs = &ds.train[..ds.train.len().min(6)];
+        let pairs = &ds.train[..ds.train.len().min(24)];
+        assert!(pairs.len() >= 16, "need a batch wide enough to fan out at width 8");
         let reg = ModelRegistry::builtin();
         let cx = BuildContext { tier: LmTier::MiniDistil, arity: ds.arity().max(1) };
-        let mut session = Session::new(reg.get("ditto").expect("spec").build(&cx));
-        assert!(session.optimizes(), "optimiser is on by default");
-        let optimised = session.score_pairs(pairs);
-        session.set_optimize(false);
-        let plain = session.score_pairs(pairs);
-        for (o, p) in optimised.iter().zip(&plain) {
-            assert_eq!(o.to_bits(), p.to_bits(), "optimised replay must be bitwise-exact");
+        for width in [1, 8] {
+            parallel::with_threads(width, || {
+                let mut session = Session::new(reg.get("deepmatcher").expect("spec").build(&cx));
+                assert_eq!(session.stats(), SessionStats::default());
+                session.score_pairs(pairs);
+                session.score_pairs(pairs);
+                session.score(Example::Pair(&pairs[0]));
+                let stats = session.stats();
+                let calls = 2 * pairs.len() as u64 + 1;
+                assert_eq!(stats.calls, calls, "width {width}");
+                assert_eq!(stats.plan_hits + stats.plan_misses, calls, "width {width}: {stats:?}");
+                assert!(stats.plan_hits > 0, "width {width}: repeated shapes must hit");
+                session.reset_stats();
+                assert_eq!(session.stats(), SessionStats::default(), "width {width}");
+                session.score(Example::Pair(&pairs[0]));
+                let again = session.stats();
+                assert_eq!((again.calls, again.plan_hits, again.plan_misses), (1, 1, 0));
+            });
         }
+    }
+
+    #[test]
+    fn mismatched_arity_is_refused_before_recording() {
+        let ds = MagellanDataset::FodorsZagats.load(0.15);
+        let pair = ds.train.first().expect("pair");
+        let reg = ModelRegistry::builtin();
+        let cx = BuildContext { tier: LmTier::MiniDistil, arity: ds.arity().max(1) + 1 };
+        let mut session = Session::new(reg.get("hiergat").expect("spec").build(&cx));
+        let err = session.try_score_pairs(std::slice::from_ref(pair)).expect_err("arity differs");
+        assert_eq!(
+            err,
+            InputError::Arity {
+                entity: pair.left.id.clone(),
+                expected: ds.arity().max(1) + 1,
+                found: pair.left.arity(),
+            }
+        );
+        assert_eq!(session.stats().calls, 0, "nothing is recorded after a refusal");
     }
 
     #[test]

@@ -40,7 +40,7 @@ assert micro >= 4.0, f"microkernel floor not met: {micro:.2f}x < 4x"
 # match the f32 plan's direct-arena replay on throughput (DESIGN.md
 # section 17) -- the quantisation win is storage -- so the gates are:
 # both storage footprints strictly shrink, score drift stays small, and
-# throughput holds a conservative fraction of the optimised f32 session
+# throughput holds a conservative fraction of the f32 session
 # (measured ~0.6x; the floor leaves margin for machine noise).
 q = d["quantised"]
 print(f"quantised floor check: {q['quantised_pairs_per_s']:.0f} pairs/s "

@@ -3,19 +3,21 @@
 //! Every builtin model's inference scoring graph is optimised under the
 //! verified configuration — every applied rewrite must carry a validated
 //! shape + interval certificate and the run must not fall back — and the
-//! optimised [`Session`] replay must score **bitwise** identically to the
-//! model's eager `predict` path. The optimised graph must also stay
-//! lint-clean at `--deny warn` (the fix-it hints the optimiser implements
-//! must not themselves introduce diagnostics). The whole suite runs at
-//! kernel split widths 1 and 8: optimised replay must not perturb the
-//! deterministic task geometry the thread pool pins.
+//! one-shot [`optimize`] output, replayed through an [`ArenaExecutor`],
+//! must score **bitwise** identically to the model's eager `predict` path.
+//! The optimised graph must also stay lint-clean at `--deny warn` (the
+//! fix-it hints the optimiser implements must not themselves introduce
+//! diagnostics). The whole suite runs at kernel split widths 1 and 8:
+//! optimised replay must not perturb the deterministic task geometry the
+//! thread pool pins. Scoring sessions replay the as-recorded tape, so this
+//! suite drives the executor directly.
 
 use hiergat_data::MagellanDataset;
 use hiergat_lm::LmTier;
-use hiergat_nn::{lint_graph, optimize, LintConfig, OptimizeConfig, Severity, Tape};
-use hiergat_runtime::{BuildContext, Example, ModelKind, ModelRegistry, Session};
+use hiergat_nn::{lint_graph, optimize, ArenaExecutor, LintConfig, OptimizeConfig, Severity, Tape};
+use hiergat_runtime::{BuildContext, Example, ModelKind, ModelRegistry};
 
-/// Every builtin model, eager vs optimised session, at one split width.
+/// Every builtin model, eager vs optimised replay, at one split width.
 fn run_all(width: usize) {
     parallel::with_threads(width, || {
         let ds = MagellanDataset::FodorsZagats.load(0.15);
@@ -57,22 +59,27 @@ fn run_all(width: usize) {
                 "{tag}: optimised tape lints dirty at --deny warn\n{lint}"
             );
 
-            // The optimised session replay is bitwise-equal to eager
+            // The optimised tape's arena replay is bitwise-equal to eager
             // prediction, on the first call (plan build) and on cache hits.
             let eager = model.predict(example);
-            let mut session = Session::new(model);
-            assert!(session.optimizes(), "{tag}: sessions must optimise by default");
+            let mut exec = ArenaExecutor::new();
+            let mut buf = vec![0.0f32; 2 * eager.len()];
             for round in 0..2 {
-                let scored = session.score(example);
-                assert_eq!(scored.len(), eager.len(), "{tag} round {round}: output count");
-                for (k, (e, s)) in eager.iter().zip(&scored).enumerate() {
+                let mut t = Tape::inference();
+                let probs = model.record_scores(&mut t, example);
+                let opt = optimize(&t, probs, model.params(), &OptimizeConfig::default());
+                exec.infer_into(&opt.tape, opt.root, model.params(), &mut buf);
+                // Row-major `n x 2` probabilities; column 1 is P(match).
+                for (k, (e, row)) in eager.iter().zip(buf.chunks(2)).enumerate() {
                     assert_eq!(
                         e.to_bits(),
-                        s.to_bits(),
-                        "{tag} round {round}: output {k} eager {e} vs optimised session {s}"
+                        row[1].to_bits(),
+                        "{tag} round {round}: output {k} eager {e} vs optimised replay {}",
+                        row[1]
                     );
                 }
             }
+            assert_eq!(exec.plans_cached(), 1, "{tag}: round 2 must replay the cached plan");
         }
     });
 }

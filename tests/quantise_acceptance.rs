@@ -7,9 +7,7 @@
 //! (b) the quantised activation arena never exceeds the f32 inference
 //! arena, and the session's total footprint (arena + weights) strictly
 //! shrinks; (c) quantised scoring is deterministic — bitwise identical
-//! across repeated calls, across kernel-pool widths 1 and 8, and across
-//! the `set_optimize(false)`/`(true)` settings (the quantised plan is built
-//! from the raw inference tape, so the tape optimiser must not leak in).
+//! across repeated calls and across kernel-pool widths 1 and 8.
 //!
 //! `ci.sh` runs this suite under `HIERGAT_THREADS=1` and `=8` and again
 //! under `--features simd`; the width sweep inside uses
@@ -166,14 +164,13 @@ fn every_registry_model_quantises_within_the_f1_and_storage_gates() {
 }
 
 #[test]
-fn quantised_scoring_is_deterministic_across_widths_and_optimizer_settings() {
+fn quantised_scoring_is_deterministic_across_widths() {
     let fx = Fixture::load();
     for spec in ModelRegistry::builtin().specs() {
         let batch = fx.batch(spec.kind());
-        // One batch scored under a given optimiser setting and pool width.
-        let scored = |optimize: bool, width: usize| -> Vec<Vec<u32>> {
+        // One batch scored at a given pool width.
+        let scored = |width: usize| -> Vec<Vec<u32>> {
             let mut session = Session::new(spec.build(&fx.context(spec.kind())));
-            session.set_optimize(optimize);
             session
                 .quantise(batch[0], &QuantConfig::default())
                 .unwrap_or_else(|e| panic!("{}: quantise failed: {e}", spec.name()));
@@ -182,22 +179,8 @@ fn quantised_scoring_is_deterministic_across_widths_and_optimizer_settings() {
                 .map(|scores| bits(scores))
                 .collect()
         };
-        let baseline = scored(true, 1);
-        assert_eq!(baseline, scored(true, 8), "{}: scores depend on pool width", spec.name());
-        // The quantised plan is built from the raw inference tape; the
-        // certified tape optimiser must not leak into it.
-        assert_eq!(
-            baseline,
-            scored(false, 1),
-            "{}: set_optimize changed quantised scores",
-            spec.name()
-        );
-        assert_eq!(
-            baseline,
-            scored(false, 8),
-            "{}: set_optimize x width changed quantised scores",
-            spec.name()
-        );
+        let baseline = scored(1);
+        assert_eq!(baseline, scored(8), "{}: scores depend on pool width", spec.name());
         // Repeated scoring through the cached quantised plan replays
         // bitwise, and quantising does not disturb later f32 comparisons.
         let mut session = Session::new(spec.build(&fx.context(spec.kind())));
